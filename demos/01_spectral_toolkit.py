@@ -1,9 +1,7 @@
-"""Tour of the labeled-matrix layer: exact entries, norms, products.
+"""Tour of the labeled-matrix layer: float64 entries, norms, products.
 
 Run:  python demos/01_spectral_toolkit.py
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,19 +15,17 @@ from tarskilab import (
 )
 
 # Matrices carry labels naming the problem instance behind each row.  Entries
-# can be exact fractions (for constructions and identity checks) or floats
-# (for spectral work).
+# are float64; the inverse-distance weights 1/k are correctly rounded.
 A = LabeledMatrix.from_rows(
     int_labels(3),
     [
-        [1, Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 2), 1, Fraction(1, 2)],
-        [Fraction(1, 3), Fraction(1, 2), 1],
+        [1, 1 / 2, 1 / 3],
+        [1 / 2, 1, 1 / 2],
+        [1 / 3, 1 / 2, 1],
     ],
-    exact=True,
     name="inverse-distance weights",
 )
-print("exact entries:", A.entries[0].tolist())
+print("entries:", A.entries[0].tolist())
 
 res = spectral_norm(A)
 print(f"norm {res.norm:.12f} after {res.iterations} iterations "
@@ -44,11 +40,11 @@ print("all-ones Rayleigh lower bound:", rayleigh_quotient(A, np.ones(3)))
 # Hadamard products implement "mask by a distinguisher"; tensor products
 # implement block composition.  Norms multiply across tensor factors.
 mask = LabeledMatrix.from_rows(int_labels(3), [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
-                               exact=True, name="band mask")
+                               name="band mask")
 masked = hadamard(A, mask)
 print("masked norm:", spectral_norm(masked).norm)
 
-B = LabeledMatrix.from_rows((b"x", b"y"), [[0, 1], [1, 0]], exact=True, name="swap")
+B = LabeledMatrix.from_rows((b"x", b"y"), [[0, 1], [1, 0]], name="swap")
 prod = tensor(B, A)
 print("tensor labels:", [lb.decode("latin-1") for lb in prod.labels])
 print("norm multiplies:",

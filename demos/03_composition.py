@@ -36,8 +36,8 @@ print("eigenvector residual:",
       float(np.linalg.norm(gam.matrix.entries @ vec - lhs * vec)))
 
 # Denominator: masking by a position distinguisher factors the same way --
-# and not only in norm: the identity holds entry by entry in exact rational
-# arithmetic (norm scalars treated as opaque tokens).
+# and not only in norm: the identity holds entry by entry, which comes down
+# to an exact comparison of 0/1 masks on the support of the composed matrix.
 mismatches = [denominator_identity_mismatches(outer, tiles, i)
               for i in range(1, h.length + 1)]
 print("exact elementwise identity mismatches over all positions:",

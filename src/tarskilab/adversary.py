@@ -30,7 +30,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -67,11 +66,7 @@ class AdversaryMatrix:
         ids = {}
         ans_idx = np.array([ids.setdefault(a, len(ids)) for a in ans])
         same = ans_idx[:, None] == ans_idx[None, :]
-        ent = self.matrix.entries
-        if self.matrix.is_exact:
-            bad = [(i, j) for i, j in np.argwhere(same) if ent[i, j] != 0]
-        else:
-            bad = np.argwhere(same & (ent != 0.0))
+        bad = np.argwhere(same & (self.matrix.entries != 0.0))
         if len(bad):
             i, j = map(int, bad[0])
             raise AdversaryError(
@@ -135,10 +130,15 @@ def hsos_labeling(m: int) -> SearchLabeling:
                           instance_of=instance_of)
 
 
+def inverse_distance(m: int) -> np.ndarray:
+    """m x m float array with entries 1/(|i-j|+1), each correctly rounded."""
+    idx = np.arange(m)
+    return 1.0 / (np.abs(idx[:, None] - idx[None, :]) + 1)
+
+
 def hilbert_tile(m: int) -> Tile:
-    """Tile with exact entries 1/(|i-j|+1), over the HSOS_m labeling."""
-    rows = [[Fraction(1, abs(i - j) + 1) for j in range(m)] for i in range(m)]
-    mat = LabeledMatrix.from_rows(int_labels(m), rows, exact=True, name=f"A_{m}")
+    """Tile with entries 1/(|i-j|+1), over the HSOS_m labeling."""
+    mat = LabeledMatrix(int_labels(m), inverse_distance(m), name=f"A_{m}")
     return Tile(matrix=mat, labeling=hsos_labeling(m))
 
 
@@ -197,7 +197,7 @@ def uniform_from_tile(lab: SearchLabeling, t: Tile) -> AdversaryMatrix:
     ans = [pair_of[s][0] for s in p.instances]
     same = np.array([[a1 == a2 for a2 in ans] for a1 in ans])
     ent = t.matrix.entries[np.ix_(var, var)].copy()
-    ent[same] = Fraction(0) if t.matrix.is_exact else 0.0
+    ent[same] = 0.0
     mat = LabeledMatrix(p.instances, ent, name=f"uniform({t.matrix.name})")
     return AdversaryMatrix(matrix=mat, problem=p)
 
@@ -209,8 +209,7 @@ def tile_of_uniform(g: AdversaryMatrix, lab: SearchLabeling) -> Tile:
     m = lab.variants
     idx = {s: r for r, s in enumerate(p.instances)}
     ent = g.matrix.entries
-    zero = Fraction(0) if g.matrix.is_exact else 0.0
-    tile = np.empty((m, m), dtype=ent.dtype)
+    tile = np.zeros((m, m))
     for a in range(1, m + 1):
         for b in range(1, m + 1):
             val = None
@@ -220,7 +219,7 @@ def tile_of_uniform(g: AdversaryMatrix, lab: SearchLabeling) -> Tile:
                     r1, r2 = idx[lab.instance_of[(s1, a)]], idx[lab.instance_of[(s2, b)]]
                     e = ent[r1, r2]
                     if s1 == s2:
-                        if e != zero:
+                        if e != 0.0:
                             raise AdversaryError(
                                 f"nonzero same-answer entry at (({s1},{a}),({s2},{b}))"
                             )
@@ -233,7 +232,8 @@ def tile_of_uniform(g: AdversaryMatrix, lab: SearchLabeling) -> Tile:
                             f"differs from (({witness[0]},{witness[1]}),"
                             f"({witness[2]},{witness[3]}))={val}"
                         )
-            tile[a - 1, b - 1] = val if val is not None else zero
+            if val is not None:
+                tile[a - 1, b - 1] = val
     mat = LabeledMatrix(int_labels(m), tile, name="tile")
     return Tile(matrix=mat, labeling=lab)
 
@@ -243,11 +243,9 @@ def os_adversary(m: int) -> AdversaryMatrix:
     from .problems import make_os
 
     p = make_os(m)
-    rows = [
-        [Fraction(0) if x == y else Fraction(1, abs(x - y) + 1) for y in range(m)]
-        for x in range(m)
-    ]
-    mat = LabeledMatrix.from_rows(p.instances, rows, exact=True, name=f"Gamma_OS_{m}")
+    ent = inverse_distance(m)
+    np.fill_diagonal(ent, 0.0)
+    mat = LabeledMatrix(p.instances, ent, name=f"Gamma_OS_{m}")
     return AdversaryMatrix(matrix=mat, problem=p)
 
 
@@ -423,87 +421,47 @@ def symmetrize(g: AdversaryMatrix, lab: SearchLabeling,
     return uniform_from_tile(lab, Tile(matrix=tile, labeling=lab))
 
 
-# ---------------------------------------------------------------------------
-# Exact elementwise form of the denominator identity.
-#
-# Hadamard-multiplying the composed matrix by the position-i distinguisher
-# equals, entry by entry, the composed matrix generated by (Gamma_f o D_p),
-# the unchanged tiles, and (A_p o D_q) in block p.  Both sides involve the
-# spectral-norm scalars ||A_d|| and ||A_p o D_q|| on their diagonal blocks;
-# we keep those as opaque tokens so the comparison stays in exact rational
-# arithmetic.
-# ---------------------------------------------------------------------------
-
-
-def _formal_product(coef: Fraction, tokens: tuple) -> tuple:
-    return (coef, tuple(sorted(tokens)))
-
-
 def denominator_identity_mismatches(outer: AdversaryMatrix, tiles: Sequence[Tile],
                                     position: int, limit: int = 3) -> list[str]:
-    """Entries where the exact elementwise identity fails (empty if none).
+    """Entries where the elementwise denominator identity fails (empty if none).
 
-    Requires an exact outer matrix and exact tiles.  Norm scalars are
-    treated as formal tokens, so a reported mismatch is a genuine
-    counterexample, not a rounding artifact.
+    The identity says that masking the composed matrix by the position-i
+    distinguisher, with i at offset q of block p, gives entry by entry the
+    composition generated by Gamma_f o D_p, the unchanged tiles, and
+    A_p o D_q in block p.  Take a pair (x, y) of composed instances.  Both
+    sides share Gamma_f[xt, yt] and every block factor d != p, and they
+    agree in block p up to the mask:
+
+      * if the outer characters agree at p, the right side carries
+        D_p[xt, yt] = 0; on the support of Gamma_h the block-p inner
+        instances of x and y are then equal, so x_i = y_i and the left side
+        is 0 too;
+      * if they differ, the left side is Gamma_h[x, y] * [x_i != y_i] and
+        the right side Gamma_h[x, y] * D_q[j_p(x), j_p(y)].
+
+    Off the support of Gamma_h both sides vanish.  So the identity holds
+    exactly when, wherever Gamma_h[x, y] != 0,
+
+      [x_i != y_i] == [xt_p != yt_p] and D_q[j_p(x), j_p(y)],
+
+    a statement about 0/1 masks that is checked in booleans, with no
+    rounding.  ``D_q`` comes from :func:`tile_distinguisher`, so an invalid
+    search labeling still raises.
     """
-    if not outer.matrix.is_exact or any(not t.matrix.is_exact for t in tiles):
-        raise AdversaryError("exact (rational) outer matrix and tiles required")
-    f = outer.problem
-    h = compose(f, [t.labeling.problem for t in tiles])
+    gam = compose_adversary(outer, tiles)
+    h = gam.problem
     p_blk, q = h.block_of_position(position)
-    labs = [t.labeling for t in tiles]
-    f_index = {s: r for r, s in enumerate(f.instances)}
-    dq = tile_distinguisher(labs[p_blk - 1], q)
-
-    infos = []
-    for s in h.instances:
-        xt = h.tilde[s]
-        blocks = h.blocks(s)
-        jvec = tuple(labs[d].pair_of[blocks[d]][1] for d in range(len(tiles)))
-        infos.append((s[position - 1], f_index[xt], xt, jvec))
-
-    gf = outer.matrix.entries
-    tiles_exact = [t.matrix.entries for t in tiles]
-    mismatches = []
-    for xi, (cx, fx, xt, jx) in enumerate(infos):
-        for yi, (cy, fy, yt, jy) in enumerate(infos):
-            gfe = gf[fx, fy]
-            # left side: (Gamma_h o D^h_i)[x, y]
-            lcoef = gfe * (1 if cx != cy else 0)
-            ltokens = []
-            # right side: composition generated by Gamma_f o D^f_p etc.
-            rcoef = gfe * (1 if xt[p_blk - 1] != yt[p_blk - 1] else 0)
-            rtokens = []
-            for d in range(len(tiles)):
-                ax, ay = xt[d], yt[d]
-                if d == p_blk - 1:
-                    if ax == ay:
-                        rcoef *= 1 if jx[d] == jy[d] else 0
-                        rtokens.append(("|ApDq|", p_blk, q))
-                    else:
-                        rcoef *= tiles_exact[d][jx[d] - 1, jy[d] - 1] * Fraction(
-                            int(dq.entries[jx[d] - 1, jy[d] - 1])
-                        )
-                else:
-                    if ax == ay:
-                        rcoef *= 1 if jx[d] == jy[d] else 0
-                        rtokens.append(("|A|", d + 1))
-                    else:
-                        rcoef *= tiles_exact[d][jx[d] - 1, jy[d] - 1]
-                if ax == ay:
-                    lcoef *= 1 if jx[d] == jy[d] else 0
-                    ltokens.append(("|A|", d + 1))
-                else:
-                    lcoef *= tiles_exact[d][jx[d] - 1, jy[d] - 1]
-            left = _formal_product(lcoef, ltokens)
-            right = _formal_product(rcoef, rtokens)
-            if left[0] == 0 and right[0] == 0:
-                continue
-            if left != right:
-                mismatches.append(
-                    f"position {position}, pair ({xi},{yi}): {left} != {right}"
-                )
-                if len(mismatches) >= limit:
-                    return mismatches
-    return mismatches
+    lab = tiles[p_blk - 1].labeling
+    dq = tile_distinguisher(lab, q).entries != 0.0
+    lo, hi = h.spans[p_blk - 1]
+    jp = np.array([lab.pair_of[s[lo:hi]][1] - 1 for s in h.instances])
+    outer_char = np.array([h.tilde[s][p_blk - 1] for s in h.instances])
+    col = h.char_table()[:, position - 1]
+    lhs = col[:, None] != col[None, :]
+    rhs = (outer_char[:, None] != outer_char[None, :]) & dq[np.ix_(jp, jp)]
+    bad = np.argwhere((gam.matrix.entries != 0.0) & (lhs != rhs))
+    return [
+        f"position {position}, pair ({x},{y}): [x_i != y_i] = {bool(lhs[x, y])} "
+        f"but [xt_p != yt_p] and D_{q}[j_p(x), j_p(y)] = {bool(rhs[x, y])}"
+        for x, y in bad[:limit].tolist()
+    ]

@@ -15,6 +15,7 @@ are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -87,7 +88,6 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {
         "n": args.n,
-        "m_max": args.m,
         "a": args.a,
         "b": args.b,
         "seed": args.seed,
@@ -95,6 +95,8 @@ def cmd_verify(args) -> int:
         "jobs": args.jobs,
         "tol": args.tol,
     }
+    if args.m is not None:  # else each suite keeps its own default m_max
+        kwargs["m_max"] = args.m
     report = run_suite(args.suite, **kwargs)
     for check_id, counterexample in report.failures:
         print(f"FAIL {check_id}  {counterexample}")
@@ -144,6 +146,8 @@ def _bound_row(problem: str, size, eps: float, tol: float,
         report = sa_ratio(adv, eps=eps, tol=tol)
     elif problem == "tarski":
         n = size
+        if n < 2:
+            raise UsageError("n must be >= 2")
         a, b = n + 1, n
         if a * b ** a > NOS_INSTANCE_CAP:
             raise UsageError(
@@ -156,12 +160,10 @@ def _bound_row(problem: str, size, eps: float, tol: float,
         # The family certifies: every grid query is covered by at most seven
         # boundary queries, so the true denominator is at most 7x the nested
         # ordered search one.
-        report = type(inner)(
-            numerator=inner.numerator,
+        report = dataclasses.replace(
+            inner,
             denominator=7.0 * inner.denominator,
             sa_value=inner.sa_value / 7.0,
-            worst_position=inner.worst_position,
-            epsilon=eps,
             query_lower_bound=inner.query_lower_bound / 7.0,
         )
     else:
@@ -251,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--n", type=int, default=2)
-    v.add_argument("--m", type=int, default=64)
+    v.add_argument("--m", type=int, default=None,
+                   help="largest tile size for hilbert/symmetrize (suite default if unset)")
     v.add_argument("--a", type=int, default=3)
     v.add_argument("--b", type=int, default=3)
     v.add_argument("--seed", type=int, default=0)

@@ -61,23 +61,26 @@ class LatticeFn:
 
     def to_json(self) -> str:
         """Row-major dump (x outer, y inner, 1-based)."""
-        flat = [
-            [int(self.values[x, y, 0]), int(self.values[x, y, 1])]
-            for x in range(self.n)
-            for y in range(self.n)
-        ]
+        flat = self.values.reshape(-1, 2).tolist()
         return json.dumps({"n": self.n, "k": 2, "values": flat}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeFn":
+        """Inverse of :meth:`to_json`.  ``n``, ``k`` and every coordinate must
+        be JSON integers: floats, strings and booleans are rejected."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise LatticeError("instance file is not a JSON object")
         for key in ("n", "k", "values"):
             if key not in obj:
                 raise LatticeError(f"instance file missing key {key!r}")
-        if obj["k"] != 2:
-            raise LatticeError(f"only k=2 instance files supported, got k={obj['k']}")
-        n = int(obj["n"])
-        flat = obj["values"]
+        n, k, flat = obj["n"], obj["k"], obj["values"]
+        if type(k) is not int or k != 2:
+            raise LatticeError(f"only k=2 instance files supported, got k={k!r}")
+        if type(n) is not int or n < 1:
+            raise LatticeError(f"n must be an integer >= 1, got n={n!r}")
+        if not isinstance(flat, list):
+            raise LatticeError("values is not a list")
         if len(flat) > n * n:
             raise LatticeError(
                 f"instance file has {len(flat)} cells, expected {n * n}"
@@ -88,12 +91,25 @@ class LatticeFn:
                 f"instance file has {missing} cells, expected {n * n}; first "
                 f"missing cell is ({missing // n + 1}, {missing % n + 1})"
             )
-        vals = np.zeros((n, n, 2), dtype=np.int32)
-        for r, pair in enumerate(flat):
-            if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-                raise LatticeError(f"cell ({r // n + 1}, {r % n + 1}) is not a pair")
-            vals[r // n, r % n] = pair
+        bad = next((r for r, pair in enumerate(flat) if not _is_int_pair(pair)), None)
+        if bad is not None:
+            raise LatticeError(
+                f"cell ({bad // n + 1}, {bad % n + 1}) is not a pair of "
+                f"integers: {flat[bad]!r}"
+            )
+        try:
+            vals = np.array(flat, dtype=np.int32).reshape(n, n, 2)
+        except OverflowError:
+            bad = next(r for r, pair in enumerate(flat) if not all(1 <= v <= n for v in pair))
+            raise LatticeError(
+                f"output out of range at cell ({bad // n + 1}, {bad % n + 1})"
+            ) from None
         return cls(n=n, values=vals)
+
+
+def _is_int_pair(pair) -> bool:
+    return (type(pair) is list and len(pair) == 2
+            and type(pair[0]) is int and type(pair[1]) is int)
 
 
 class Oracle:

@@ -2,11 +2,11 @@
 
 Every matrix in this package is square, symmetric, nonnegative, and carries
 one opaque byte-string label per row/column identifying the problem instance
-that row represents.  Entries live in one of two modes:
-
-  * exact mode -- an object array of ``fractions.Fraction`` values, used for
-    constructions and elementwise identity checks;
-  * float mode -- a ``float64`` array, used for all spectral work.
+that row represents.  Entries are always a read-only ``float64`` array.
+The package's constructions (inverse-distance weights ``1/k`` and 0/1
+distinguisher masks) are correctly rounded in float64, and identities that
+must hold exactly are checked on boolean supports, which need no rational
+arithmetic.
 
 Spectral norms are computed by shifted symmetric power iteration.  For a
 nonnegative symmetric matrix the spectral radius equals the largest
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,16 +34,6 @@ class SpectralConvergenceError(RuntimeError):
     """Power iteration hit its iteration cap before reaching tolerance."""
 
 
-def _as_entry_array(rows, exact: bool) -> np.ndarray:
-    if exact:
-        arr = np.empty((len(rows), len(rows[0]) if len(rows) else 0), dtype=object)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                arr[i, j] = Fraction(v)
-        return arr
-    return np.asarray(rows, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class LabeledMatrix:
     """Square symmetric nonnegative matrix with per-row instance labels."""
@@ -54,6 +43,7 @@ class LabeledMatrix:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.float64))
         d = len(self.labels)
         if self.entries.shape != (d, d):
             raise MatrixError(
@@ -62,67 +52,50 @@ class LabeledMatrix:
             )
         if len(set(self.labels)) != d:
             raise MatrixError(f"{self.name or 'matrix'}: labels are not pairwise distinct")
-        if self.is_exact:
-            if d and any(self.entries[i, j] != self.entries[j, i]
-                         for i in range(d) for j in range(i)):
-                raise MatrixError(f"{self.name or 'matrix'}: not symmetric")
-            if d and any(v < 0 for v in self.entries.flat):
-                raise MatrixError(f"{self.name or 'matrix'}: negative entry")
-        else:
-            if d and not np.allclose(self.entries, self.entries.T,
-                                     rtol=0.0, atol=FLOAT_SYMMETRY_TOL):
-                raise MatrixError(f"{self.name or 'matrix'}: not symmetric")
-            if d and float(self.entries.min()) < -FLOAT_SYMMETRY_TOL:
-                raise MatrixError(f"{self.name or 'matrix'}: negative entry")
+        if d and not np.allclose(self.entries, self.entries.T,
+                                 rtol=0.0, atol=FLOAT_SYMMETRY_TOL):
+            raise MatrixError(f"{self.name or 'matrix'}: not symmetric")
+        if d and float(self.entries.min()) < -FLOAT_SYMMETRY_TOL:
+            raise MatrixError(f"{self.name or 'matrix'}: negative entry")
         self.entries.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.entries.dtype == object
-
     def to_float(self) -> np.ndarray:
         """Entries as a writable float64 array (a copy)."""
         return np.array(self.entries, dtype=np.float64)
 
-    def entry(self, i: int, j: int):
-        return self.entries[i, j]
-
     @classmethod
-    def from_rows(cls, labels: Iterable[bytes], rows, exact: bool = False,
-                  name: str = "") -> "LabeledMatrix":
-        return cls(tuple(labels), _as_entry_array(rows, exact), name)
+    def from_rows(cls, labels: Iterable[bytes], rows, name: str = "") -> "LabeledMatrix":
+        return cls(tuple(labels), np.asarray(rows, dtype=np.float64), name)
 
     def to_json(self) -> str:
-        """Dump as ``{"dim", "labels", "entries"}``.
-
-        Exact entries are serialized as base-10 fraction strings so they
-        round-trip without loss; float entries as JSON numbers.
-        """
-        if self.is_exact:
-            ent = [[str(self.entries[i, j]) for j in range(self.dim)]
-                   for i in range(self.dim)]
-        else:
-            ent = [[float(v) for v in row] for row in self.entries]
+        """Dump as ``{"dim", "labels", "entries"}``, entries as JSON numbers
+        (``repr`` of each float64, so they round-trip without loss)."""
         return json.dumps(
             {
                 "dim": self.dim,
                 "labels": [lb.decode("latin-1") for lb in self.labels],
-                "entries": ent,
+                "entries": self.entries.tolist(),
             },
             sort_keys=True,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledMatrix":
+        """Inverse of :meth:`to_json`; every entry must be a JSON number."""
         obj = json.loads(text)
         labels = tuple(s.encode("latin-1") for s in obj["labels"])
         rows = obj["entries"]
-        exact = bool(rows) and bool(rows[0]) and isinstance(rows[0][0], str)
-        return cls.from_rows(labels, rows, exact=exact)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise MatrixError(f"entries row {i} is not a list")
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise MatrixError(f"entry ({i}, {j}) is {v!r}, not a JSON number")
+        return cls.from_rows(labels, rows)
 
 
 @dataclass(frozen=True)
@@ -198,8 +171,7 @@ def spectral_norm(M: LabeledMatrix, tol: float = 1e-9, v0: np.ndarray | None = N
     tolerance).  Raises :class:`SpectralConvergenceError` after
     ``100 * dim`` iterations (or ``max_iterations``).
     """
-    A = M.entries if (not M.is_exact and M.entries.dtype == np.float64) else M.to_float()
-    return power_norm(A, tol=tol, v0=v0, max_iterations=max_iterations,
+    return power_norm(M.entries, tol=tol, v0=v0, max_iterations=max_iterations,
                       name=M.name or f"{M.dim}x{M.dim} matrix")
 
 
@@ -214,29 +186,18 @@ def _require_same_labels(A: LabeledMatrix, B: LabeledMatrix) -> None:
 def hadamard(A: LabeledMatrix, B: LabeledMatrix) -> LabeledMatrix:
     """Elementwise product; operands must agree in dim and label order."""
     _require_same_labels(A, B)
-    if A.is_exact and B.is_exact:
-        ent = A.entries * B.entries
-    else:
-        a = A.entries if not A.is_exact else A.to_float()
-        b = B.entries if not B.is_exact else B.to_float()
-        ent = a * b
-    return LabeledMatrix(A.labels, ent, name=f"({A.name or 'A'}∘{B.name or 'B'})")
+    return LabeledMatrix(A.labels, A.entries * B.entries,
+                         name=f"({A.name or 'A'}∘{B.name or 'B'})")
 
 
 def tensor(A: LabeledMatrix, B: LabeledMatrix) -> LabeledMatrix:
     """Kronecker product; output label (i, j) is concat(label_A[i], label_B[j])."""
     labels = tuple(la + lb for la in A.labels for lb in B.labels)
-    if A.is_exact and B.is_exact:
-        ent = np.kron(A.entries, B.entries)
-    else:
-        a = A.entries if not A.is_exact else A.to_float()
-        b = B.entries if not B.is_exact else B.to_float()
-        ent = np.kron(a, b)
-    return LabeledMatrix(labels, ent, name=f"({A.name or 'A'}⊗{B.name or 'B'})")
+    return LabeledMatrix(labels, np.kron(A.entries, B.entries),
+                         name=f"({A.name or 'A'}⊗{B.name or 'B'})")
 
 
 def rayleigh_quotient(M: LabeledMatrix, v: Sequence[float]) -> float:
     """(v·Mv)/(v·v) — a lower bound on the spectral norm for any probe v."""
     x = np.asarray(v, dtype=np.float64)
-    A = M.entries if not M.is_exact else M.to_float()
-    return float(x @ (A @ x)) / float(x @ x)
+    return float(x @ (M.entries @ x)) / float(x @ x)

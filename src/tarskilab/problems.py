@@ -45,7 +45,6 @@ class Sym(IntEnum):
 
 
 SYMBOL_NAMES = {s: s.name for s in Sym}
-_NAME_TO_SYMBOL = {s.name: s for s in Sym}
 
 
 def render_string(s: bytes) -> str:
@@ -260,10 +259,6 @@ class SearchLabeling:
     @property
     def pair_of(self) -> dict:
         return {s: pair for pair, s in self.instance_of.items()}
-
-    def char(self, sigma, j: int, i: int) -> int:
-        """Character at 1-based position i of instance (sigma, j)."""
-        return self.instance_of[(sigma, j)][i - 1]
 
 
 def _labeling_is_valid(lab: SearchLabeling) -> bool:

@@ -27,6 +27,7 @@ from .adversary import (
     hilbert_tile,
     hsos_labeling,
     interval_distinguisher,
+    inverse_distance,
     os_adversary,
     sa_ratio,
     symmetrize,
@@ -118,7 +119,7 @@ def suite_hilbert(m_max: int = 64, tol: float = 1e-9, **_) -> SuiteReport:
     vec_cache: dict = {}
     for m in range(1, m_max + 1):
         idx = np.arange(1, m + 1)
-        A = 1.0 / (np.abs(idx[:, None] - idx[None, :]) + 1)
+        A = inverse_distance(m)
         res = power_norm(A, tol=tol, v0=vec_cache.get("A"), name=f"A_{m}")
         vec_cache["A"] = np.append(res.eigenvector, res.eigenvector[-1])
         if m % 2 == 1:

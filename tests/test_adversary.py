@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,9 @@ from tarskilab import (
     compose_adversary,
     composed_principal_vector,
     denominator_identity_mismatches,
+    distinguisher,
     error_factor,
+    hadamard,
     hilbert_tile,
     hsos_labeling,
     int_labels,
@@ -35,10 +36,10 @@ from tarskilab.suites import random_adversary
 def test_hilbert_tile_entries():
     assert hilbert_tile(1).matrix.entries[0, 0] == 1
     t2 = hilbert_tile(2).matrix
-    assert t2.entries[0, 1] == Fraction(1, 2) and t2.entries[0, 0] == 1
+    assert t2.entries[0, 1] == 1 / 2 and t2.entries[0, 0] == 1
     t3 = hilbert_tile(3).matrix
     assert all(t3.entries[i, i] == 1 for i in range(3))
-    assert t3.entries[0, 2] == Fraction(1, 3)
+    assert t3.entries[0, 2] == 1 / 3
 
 
 def test_tile_distinguisher_examples():
@@ -67,7 +68,7 @@ def test_tile_distinguisher_matches_interval_rule(m):
 def test_uniform_from_tile():
     lab1 = hsos_labeling(1)
     ones = Tile(
-        matrix=LabeledMatrix.from_rows(int_labels(1), [[1]], exact=True),
+        matrix=LabeledMatrix.from_rows(int_labels(1), [[1]]),
         labeling=lab1,
     )
     g = uniform_from_tile(lab1, ones)
@@ -88,15 +89,12 @@ def test_tile_of_uniform_roundtrip_and_ratio_identity():
     t = hilbert_tile(3)
     g = uniform_from_tile(lab, t)
     back = tile_of_uniform(g, lab)
-    assert np.array_equal(
-        np.array(back.matrix.entries, dtype=object),
-        np.array(t.matrix.entries, dtype=object),
-    )
+    assert np.array_equal(back.matrix.entries, t.matrix.entries)
     # J - I over three answers, one variant
     lab1 = hsos_labeling(1)
     jmi = uniform_from_tile(
         lab1,
-        Tile(matrix=LabeledMatrix.from_rows(int_labels(1), [[1]], exact=True),
+        Tile(matrix=LabeledMatrix.from_rows(int_labels(1), [[1]]),
              labeling=lab1),
     )
     assert tile_of_uniform(jmi, lab1).matrix.entries[0, 0] == 1
@@ -138,11 +136,11 @@ def test_tile_of_uniform_rejects_nonuniform():
 
 def test_os_adversary_entries_and_norms():
     a2 = os_adversary(2)
-    assert a2.matrix.entries[0, 1] == Fraction(1, 2)
+    assert a2.matrix.entries[0, 1] == 1 / 2
     assert a2.matrix.entries[0, 0] == 0
     assert spectral_norm(a2.matrix).norm == pytest.approx(0.5, rel=1e-9)
     assert os_adversary(1).matrix.entries[0, 0] == 0
-    assert os_adversary(3).matrix.entries[0, 2] == Fraction(1, 3)
+    assert os_adversary(3).matrix.entries[0, 2] == 1 / 3
 
 
 def test_adversary_validation():
@@ -197,7 +195,7 @@ def test_compose_adversary_single_block():
         answer={up: 1, dn: 2},
     )
     swap = AdversaryMatrix(
-        matrix=LabeledMatrix.from_rows((up, dn), [[0, 1], [1, 0]], exact=True),
+        matrix=LabeledMatrix.from_rows((up, dn), [[0, 1], [1, 0]]),
         problem=outer_problem,
     )
     gam = compose_adversary(swap, [hilbert_tile(2)])
@@ -235,6 +233,41 @@ def test_denominator_identity_exact_small():
     tiles = [hilbert_tile(2)] * 2
     for i in range(1, 5):
         assert denominator_identity_mismatches(outer, tiles, i) == []
+
+
+def test_denominator_identity_reports_a_wrong_distinguisher(monkeypatch):
+    import tarskilab.adversary as adv
+
+    outer = os_adversary(2)
+    tiles = [hilbert_tile(3)] * 2
+    shifted = adv.tile_distinguisher
+    monkeypatch.setattr(adv, "tile_distinguisher",
+                        lambda lab, q: shifted(lab, q % lab.variants + 1))
+    for i in range(1, 7):
+        bad = denominator_identity_mismatches(outer, tiles, i, limit=2)
+        assert len(bad) == 2 and f"position {i}" in bad[0]
+
+
+@pytest.mark.parametrize("a,b", list(itertools.product((1, 2, 3), repeat=2)))
+def test_masked_composition_equals_composition_of_masked_factors(a, b):
+    # Gamma_h o D_i is the composition generated by Gamma_f o D_p and the
+    # tiles with tile p replaced by A_p o D_q.  Both sides multiply the same
+    # floats by 0/1 only, so they agree bit for bit.
+    outer = os_adversary(a)
+    tiles = [hilbert_tile(b)] * a
+    gam = compose_adversary(outer, tiles)
+    for i in range(1, a * b + 1):
+        p, q = gam.problem.block_of_position(i)
+        lhs = gam.matrix.entries * distinguisher(gam.problem, i).entries
+        fmask = hadamard(outer.matrix, distinguisher(outer.problem, p))
+        lab = tiles[p - 1].labeling
+        masked_tile = Tile(matrix=hadamard(tiles[p - 1].matrix, tile_distinguisher(lab, q)),
+                           labeling=lab)
+        rhs = compose_adversary(
+            AdversaryMatrix(matrix=fmask, problem=outer.problem),
+            tiles[:p - 1] + [masked_tile] + tiles[p:],
+        )
+        assert np.array_equal(lhs, rhs.matrix.entries), (a, b, i)
 
 
 def test_symmetrize_fixes_uniform_input():
@@ -299,7 +332,7 @@ def test_symmetrize_alphabet_cap():
     lab = hsos_labeling(1)
     g = uniform_from_tile(
         lab,
-        Tile(matrix=LabeledMatrix.from_rows(int_labels(1), [[1]], exact=True),
+        Tile(matrix=LabeledMatrix.from_rows(int_labels(1), [[1]]),
              labeling=lab),
     )
     big = lab.__class__(

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from tarskilab import LabeledMatrix
+from tarskilab import LabeledMatrix, os_adversary
 from tarskilab.cli import main
 
 
@@ -157,7 +158,35 @@ def test_bound_dump_matrix(tmp_path):
     dump = tmp_path / "dumps"
     assert run(["bound", "--problem", "os", "--sizes", "3",
                 "--out", str(tmp_path / "t.csv"), "--dump-matrix", str(dump)]) == 0
-    mat = LabeledMatrix.from_json((dump / "gamma_os_3.json").read_text())
+    text = (dump / "gamma_os_3.json").read_text()
+    assert json.loads(text)["entries"][0] == [0.0, 0.5, 1 / 3]  # JSON numbers
+    mat = LabeledMatrix.from_json(text)
     assert mat.dim == 3
-    assert mat.is_exact
-    assert str(mat.entries[0, 2]) == "1/3"
+    assert mat.entries[0, 2] == 1 / 3
+    assert np.array_equal(mat.entries, os_adversary(3).matrix.entries)
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_bound_rejects_tarski_below_two(n, capsys):
+    assert run(["bound", "--problem", "tarski", "--sizes", n]) == 2
+    captured = capsys.readouterr()
+    assert "n must be >= 2" in captured.err and captured.out == ""
+
+
+def test_verify_symmetrize_keeps_suite_default_m(capsys):
+    assert run(["verify", "--suite", "symmetrize"]) == 0
+    assert "suite=symmetrize checks=60 failures=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 2, "k": 2, "values": [[1, 1], [1, 2], [2, 1.7], [2, 2]]}, "cell (2, 1)"),
+    ({"n": 2, "k": 2, "values": [[1, 1], [1, 2], [2, "1"], [2, 2]]}, "cell (2, 1)"),
+    ({"n": 2, "k": 2, "values": [[1, 1], [1, 2], [2, True], [2, 2]]}, "cell (2, 1)"),
+    ({"n": "2", "k": 2, "values": [[1, 1], [1, 2], [2, 1], [2, 2]]}, "n must be an integer"),
+    ({"n": 0, "k": 2, "values": []}, "n must be an integer"),
+])
+def test_solve_rejects_ill_typed_files(tmp_path, capsys, obj, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    assert run(["solve", "--instance", str(path)]) == 3
+    assert message in capsys.readouterr().err

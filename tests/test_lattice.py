@@ -181,3 +181,45 @@ def test_json_roundtrip_and_errors():
 
     with pytest.raises(LatticeError, match="missing key"):
         LatticeFn.from_json(json.dumps({"n": 2}))
+
+
+def test_to_json_layout():
+    f = LatticeFn(n=2, values=np.array([[[1, 1], [1, 2]], [[2, 1], [2, 2]]]))
+    assert f.to_json() == '{"k": 2, "n": 2, "values": [[1, 1], [1, 2], [2, 1], [2, 2]]}'
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, "1", True, None])
+def test_from_json_rejects_non_integer_cell(bad):
+    obj = json.loads(identity_fn(2).to_json())
+    obj["values"][2] = [bad, 2]
+    with pytest.raises(LatticeError, match=r"cell \(2, 1\) is not a pair of integers"):
+        LatticeFn.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("cell", [[1], [1, 2, 2], "12", 1])
+def test_from_json_rejects_non_pair_cell(cell):
+    obj = json.loads(identity_fn(2).to_json())
+    obj["values"][1] = cell
+    with pytest.raises(LatticeError, match=r"cell \(1, 2\)"):
+        LatticeFn.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("n", ["2", 2.0, True, 0, -1])
+def test_from_json_rejects_bad_n(n):
+    text = json.dumps({"n": n, "k": 2, "values": []})
+    with pytest.raises(LatticeError, match=f"n must be an integer >= 1, got n={n!r}"):
+        LatticeFn.from_json(text)
+
+
+def test_from_json_rejects_non_integer_k():
+    obj = json.loads(identity_fn(2).to_json())
+    obj["k"] = 2.0
+    with pytest.raises(LatticeError, match="k=2.0"):
+        LatticeFn.from_json(json.dumps(obj))
+
+
+def test_from_json_rejects_int32_overflow():
+    obj = json.loads(identity_fn(2).to_json())
+    obj["values"][3] = [2, 2 ** 40]
+    with pytest.raises(LatticeError, match=r"out of range at cell \(2, 2\)"):
+        LatticeFn.from_json(json.dumps(obj))

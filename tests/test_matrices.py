@@ -1,7 +1,7 @@
 """Spectral core: norms, Hadamard and tensor products, serialization."""
 
+import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +19,7 @@ from tarskilab import (
     tensor,
 )
 
-H2 = LabeledMatrix.from_rows(
-    int_labels(2), [[1, Fraction(1, 2)], [Fraction(1, 2), 1]], exact=True, name="A_2"
-)
+H2 = LabeledMatrix.from_rows(int_labels(2), [[1, 1 / 2], [1 / 2, 1]], name="A_2")
 
 
 def random_symmetric(rng, d):
@@ -44,11 +42,11 @@ def test_two_by_two_closed_form():
 
 def test_three_by_three_against_dense_oracle():
     rows = [
-        [1, Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 2), 1, Fraction(1, 2)],
-        [Fraction(1, 3), Fraction(1, 2), 1],
+        [1, 1 / 2, 1 / 3],
+        [1 / 2, 1, 1 / 2],
+        [1 / 3, 1 / 2, 1],
     ]
-    m = LabeledMatrix.from_rows(int_labels(3), rows, exact=True)
+    m = LabeledMatrix.from_rows(int_labels(3), rows)
     res = spectral_norm(m, tol=1e-12)
     oracle = np.linalg.eigvalsh(m.to_float())[-1]
     assert res.norm == pytest.approx(oracle, rel=1e-9)
@@ -86,11 +84,9 @@ def test_hadamard_identities():
     zeros = LabeledMatrix.from_rows(int_labels(2), [[0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(hadamard(H2, ones).to_float(), H2.to_float())
     assert np.array_equal(hadamard(H2, zeros).to_float(), zeros.to_float())
-    mask = LabeledMatrix.from_rows(
-        int_labels(2), [[1, 1], [1, 0]], exact=True
-    )
+    mask = LabeledMatrix.from_rows(int_labels(2), [[1, 1], [1, 0]])
     prod = hadamard(H2, mask)
-    assert prod.entries[0, 1] == Fraction(1, 2)
+    assert prod.entries[0, 1] == 1 / 2
     assert prod.entries[1, 1] == 0
 
 
@@ -124,18 +120,18 @@ def test_hadamard_monotone_in_mask():
 
 
 def test_tensor_scalar_cases():
-    one = LabeledMatrix.from_rows((b"s",), [[1]], exact=True)
+    one = LabeledMatrix.from_rows((b"s",), [[1]])
     out = tensor(H2, one)
     assert np.array_equal(out.to_float(), H2.to_float())
     assert out.labels == (b"1s", b"2s")
-    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]], exact=True)
-    two = LabeledMatrix.from_rows((b"t",), [[2]], exact=True)
+    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]])
+    two = LabeledMatrix.from_rows((b"t",), [[2]])
     scaled = tensor(swap, two)
     assert scaled.entries[0, 1] == 2 and scaled.entries[0, 0] == 0
 
 
 def test_tensor_norm_multiplicative_example():
-    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]], exact=True)
+    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]])
     prod = tensor(swap, H2)
     assert spectral_norm(prod).norm == pytest.approx(1.5, rel=1e-9)
     oracle = np.linalg.eigvalsh(prod.to_float())[-1]
@@ -169,16 +165,26 @@ def test_validation_rejects_asymmetric_and_negative():
         LabeledMatrix.from_rows((b"a", b"a"), [[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_json_roundtrip_exact_and_float():
+def test_json_roundtrip():
     again = LabeledMatrix.from_json(H2.to_json())
-    assert again.is_exact
-    assert again.entries[0, 1] == Fraction(1, 2)
+    assert again.entries[0, 1] == 1 / 2
     assert again.labels == H2.labels
     f = LabeledMatrix.from_rows(int_labels(2), [[0.25, 0.125], [0.125, 1.0]])
     back = LabeledMatrix.from_json(f.to_json())
-    assert not back.is_exact
+    assert back.entries.dtype == np.float64
     assert np.array_equal(back.entries, f.entries)
-    third = LabeledMatrix.from_rows(
-        int_labels(1), [[Fraction(1, 3)]], exact=True
-    )
-    assert LabeledMatrix.from_json(third.to_json()).entries[0, 0] == Fraction(1, 3)
+    third = LabeledMatrix.from_rows(int_labels(1), [[1 / 3]])
+    assert LabeledMatrix.from_json(third.to_json()).entries[0, 0] == 1 / 3
+
+
+def test_entries_are_float64():
+    m = LabeledMatrix(int_labels(2), np.array([[0, 1], [1, 0]]))
+    assert m.entries.dtype == np.float64
+    assert not m.entries.flags.writeable
+
+
+@pytest.mark.parametrize("entry", ["1/3", True, None, [1]])
+def test_json_rejects_non_numbers(entry):
+    text = json.dumps({"dim": 1, "labels": ["1"], "entries": [[entry]]})
+    with pytest.raises(MatrixError, match=r"entry \(0, 0\)"):
+        LabeledMatrix.from_json(text)
