@@ -9,26 +9,29 @@ import math
 from tarskilab import (
     Oracle,
     build_geometry,
-    compose_adversary,
+    composed_sa_ratio,
     hilbert_tile,
     nested_solve,
     os_adversary,
-    sa_ratio,
     solve_brute,
     tarski_family,
 )
 
 # Lower bound: the family embeds nested ordered search on its chunk
 # boundaries, and no grid query beats seven boundary queries, so the
-# fixed-point problem inherits a seventh of the nested-search bound.
-print("  n   n'    SA(nested search)   fixed-point lower bound (eps=1/3)")
-for n in (2, 3):
-    a, b = n + 1, n
-    gam = compose_adversary(os_adversary(a), [hilbert_tile(b)] * a)
-    rep = sa_ratio(gam)
+# fixed-point problem inherits a seventh of the nested-search bound.  The
+# nested-search ratio comes from its factors (outer ordered search and the
+# inverse-distance tile), so no composed matrix is built.  It grows like
+# (log n)^2 (acceptance criterion 10 fits n up to 64); the last column is
+# still falling at n = 16 because lower-order terms have not yet faded.
+print("  n    n'    SA(nested search)   fixed-point lower bound (eps=1/3)   "
+      "SA/(ln n')^2")
+for n in (2, 3, 4, 6, 8, 12, 16):
+    rep = composed_sa_ratio(os_adversary(n + 1), hilbert_tile(n))
     n_prime = n * (n * n + n - 1)
-    print(f"  {n}   {n_prime:3d}     {rep.sa_value:8.4f}            "
-          f"{rep.query_lower_bound / 7.0:8.5f}")
+    print(f"  {n:2d}  {n_prime:5d}     {rep.sa_value:8.4f}            "
+          f"{rep.query_lower_bound / 7.0:8.5f}                      "
+          f"{rep.sa_value / math.log(n_prime) ** 2:.4f}")
 
 # Upper bound: nested binary search solves every family instance in
 # O((log n')^2) queries, a vanishing fraction of the brute-force n'^2.

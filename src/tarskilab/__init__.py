@@ -42,11 +42,13 @@ from .adversary import (
     Tile,
     compose_adversary,
     composed_principal_vector,
+    composed_sa_ratio,
     denominator_identity_mismatches,
     error_factor,
     hilbert_tile,
     hsos_labeling,
     interval_distinguisher,
+    masked_norm,
     os_adversary,
     sa_ratio,
     symmetrize,

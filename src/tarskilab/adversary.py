@@ -17,6 +17,8 @@ explicit candidates used throughout the package:
   * ``compose_adversary``    -- the tensor-structured adversary matrix of a
                                 block composition, whose norm factorizes as
                                 ||Gamma_f|| * prod_i ||A_i||;
+  * ``composed_sa_ratio``    -- the ratio of that composition with one tile
+                                repeated, computed from the factors alone;
   * ``symmetrize``           -- averages a matrix over all permutations of
                                 the answer alphabet, yielding a uniform
                                 matrix that is never a worse candidate.
@@ -324,27 +326,37 @@ def composed_principal_vector(outer: AdversaryMatrix, tiles: Sequence[Tile],
     return out
 
 
-def _masked_norm(arr: np.ndarray, mask: np.ndarray, tol: float,
-                 name: str) -> float:
-    return power_norm(arr * mask, tol=tol, name=name).norm
+def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
+    """||Gamma o D_i||: the norm of ``g`` masked by its position-i distinguisher.
 
-
-def sa_ratio(g: AdversaryMatrix, eps: float = 1.0 / 3.0,
-             tol: float = 1e-9) -> BoundReport:
-    """Evaluate ||Gamma|| / max_i ||Gamma o D_i|| for this candidate and the
-    implied eps-error quantum query lower bound."""
-    factor = error_factor(eps)
-    numerator = spectral_norm(g.matrix, tol).norm
-    arr = g.matrix.to_float()
-    chars = g.problem.char_table()
-    denominator = 0.0
-    worst = 0
-    for i in range(1, g.problem.length + 1):
-        col = chars[:, i - 1]
+    For a :class:`Tile`, ``D_i`` is :func:`tile_distinguisher` of its
+    labeling, so an invalid search labeling raises.
+    """
+    if isinstance(g, Tile):
+        mask = tile_distinguisher(g.labeling, i).entries
+    else:
+        if not 1 <= i <= g.problem.length:
+            raise AdversaryError(f"position {i} out of range 1..{g.problem.length}")
+        col = g.problem.char_table()[:, i - 1]
         mask = col[:, None] != col[None, :]
-        nrm = _masked_norm(arr, mask, tol, name=f"Gamma∘D_{i}")
-        if nrm > denominator:
-            denominator, worst = nrm, i
+    return power_norm(g.matrix.entries * mask, tol=tol,
+                      name=f"{g.matrix.name or 'Gamma'}∘D_{i}").norm
+
+
+def _max_masked_norm(g: AdversaryMatrix | Tile, tol: float) -> tuple[float, int]:
+    """Largest ||g o D_i|| over all positions, and the first position that
+    reaches it (0 when every product vanishes)."""
+    length = g.labeling.problem.length if isinstance(g, Tile) else g.problem.length
+    best, worst = 0.0, 0
+    for i in range(1, length + 1):
+        nrm = masked_norm(g, i, tol)
+        if nrm > best:
+            best, worst = nrm, i
+    return best, worst
+
+
+def _bound_report(numerator: float, denominator: float, worst: int,
+                  eps: float, factor: float) -> BoundReport:
     if denominator == 0.0:
         raise AdversaryError(
             "all distinguisher products vanish: instances with different "
@@ -359,6 +371,39 @@ def sa_ratio(g: AdversaryMatrix, eps: float = 1.0 / 3.0,
         epsilon=eps,
         query_lower_bound=factor * sa,
     )
+
+
+def sa_ratio(g: AdversaryMatrix, eps: float = 1.0 / 3.0,
+             tol: float = 1e-9) -> BoundReport:
+    """Evaluate ||Gamma|| / max_i ||Gamma o D_i|| for this candidate and the
+    implied eps-error quantum query lower bound.  ``worst_position`` is the
+    first position that reaches the maximum."""
+    factor = error_factor(eps)
+    numerator = spectral_norm(g.matrix, tol).norm
+    denominator, worst = _max_masked_norm(g, tol)
+    return _bound_report(numerator, denominator, worst, eps, factor)
+
+
+def composed_sa_ratio(outer: AdversaryMatrix, tile: Tile, eps: float = 1.0 / 3.0,
+                      tol: float = 1e-9) -> BoundReport:
+    """``sa_ratio(compose_adversary(outer, [tile] * a))`` from the factors,
+    without building the composed matrix (a = length of the outer problem).
+
+    The composition identities give ||Gamma_h|| = ||Gamma_f|| * ||A||^a and,
+    for position i at offset q of block p,
+    ||Gamma_h o D_i|| = ||Gamma_f o D_p|| * ||A o D_q|| * ||A||^(a-1).
+    Every factor is nonnegative, so the maximum over (p, q) is the outer
+    maximum times the tile maximum, and the first position in order that
+    reaches it is (p* - 1) * b + q*, with b the tile's problem length.
+    """
+    f = sa_ratio(outer, eps=eps, tol=tol)
+    a = outer.problem.length
+    b = tile.labeling.problem.length
+    anorm = spectral_norm(tile.matrix, tol).norm
+    aden, q_worst = _max_masked_norm(tile, tol)
+    return _bound_report(f.numerator * anorm ** a,
+                         f.denominator * aden * anorm ** (a - 1),
+                         (f.worst_position - 1) * b + q_worst, eps, error_factor(eps))
 
 
 def symmetrize(g: AdversaryMatrix, lab: SearchLabeling,

@@ -24,6 +24,7 @@ from pathlib import Path
 from .adversary import (
     AdversaryError,
     compose_adversary,
+    composed_sa_ratio,
     hilbert_tile,
     hsos_labeling,
     os_adversary,
@@ -134,38 +135,34 @@ def _bound_row(problem: str, size, eps: float, tol: float,
         adv = uniform_from_tile(lab, hilbert_tile(size))
         label = str(size)
         report = sa_ratio(adv, eps=eps, tol=tol)
-    elif problem == "nos":
-        a, b = size
-        if a * b ** a > NOS_INSTANCE_CAP:
+    elif problem in ("nos", "tarski"):
+        if problem == "nos":
+            a, b = size
+            label = f"{a}x{b}"
+        else:
+            if size < 2:
+                raise UsageError("n must be >= 2")
+            a, b = size + 1, size
+            label = str(size)
+        if dump_dir is not None and a * b ** a > NOS_INSTANCE_CAP:
             raise UsageError(
-                f"nos {a}x{b} has {a * b ** a} instances; dense evaluation is "
-                f"capped at {NOS_INSTANCE_CAP}"
+                f"{problem} {label} has {a * b ** a} instances; --dump-matrix "
+                f"is capped at {NOS_INSTANCE_CAP}"
             )
-        adv = compose_adversary(os_adversary(a), [hilbert_tile(b)] * a)
-        label = f"{a}x{b}"
-        report = sa_ratio(adv, eps=eps, tol=tol)
-    elif problem == "tarski":
-        n = size
-        if n < 2:
-            raise UsageError("n must be >= 2")
-        a, b = n + 1, n
-        if a * b ** a > NOS_INSTANCE_CAP:
-            raise UsageError(
-                f"tarski n={n} needs nos {a}x{b} with {a * b ** a} instances; "
-                f"dense evaluation is capped at {NOS_INSTANCE_CAP}"
+        outer, tile = os_adversary(a), hilbert_tile(b)
+        # Rows come from the factors; the dense matrix is built only to dump it.
+        report = composed_sa_ratio(outer, tile, eps=eps, tol=tol)
+        adv = compose_adversary(outer, [tile] * a) if dump_dir is not None else None
+        if problem == "tarski":
+            # The family certifies: every grid query is covered by at most
+            # seven boundary queries, so the true denominator is at most 7x
+            # the nested ordered search one.
+            report = dataclasses.replace(
+                report,
+                denominator=7.0 * report.denominator,
+                sa_value=report.sa_value / 7.0,
+                query_lower_bound=report.query_lower_bound / 7.0,
             )
-        adv = compose_adversary(os_adversary(a), [hilbert_tile(b)] * a)
-        label = str(n)
-        inner = sa_ratio(adv, eps=eps, tol=tol)
-        # The family certifies: every grid query is covered by at most seven
-        # boundary queries, so the true denominator is at most 7x the nested
-        # ordered search one.
-        report = dataclasses.replace(
-            inner,
-            denominator=7.0 * inner.denominator,
-            sa_value=inner.sa_value / 7.0,
-            query_lower_bound=inner.query_lower_bound / 7.0,
-        )
     else:
         raise UsageError(f"unknown problem {problem!r}")
     if dump_dir is not None:

@@ -26,8 +26,8 @@ from .adversary import (
     denominator_identity_mismatches,
     hilbert_tile,
     hsos_labeling,
-    interval_distinguisher,
     inverse_distance,
+    masked_norm,
     os_adversary,
     sa_ratio,
     symmetrize,
@@ -206,17 +206,12 @@ def suite_composition(a: int = 3, b: int = 3, seed: int = 0, tol: float = 1e-9,
         json.dumps({"residual": resid}),
     )
 
-    arr = gam.matrix.to_float()
-    chars = h.char_table()
-    fden = {p: sa_ratio_denominator_at(outer, p, tol) for p in range(1, a + 1)}
-    aden = {q: power_norm(
-        tiles[0].matrix.to_float() * interval_distinguisher(b, q).entries,
-        tol=tol).norm for q in range(1, b + 1)}
+    fden = {p: masked_norm(outer, p, tol) for p in range(1, a + 1)}
+    aden = {q: masked_norm(tiles[0], q, tol) for q in range(1, b + 1)}
     worst = 0.0
     for i in range(1, h.length + 1):
         p, q = h.block_of_position(i)
-        col = chars[:, i - 1]
-        lhs = power_norm(arr * (col[:, None] != col[None, :]), tol=tol).norm
+        lhs = masked_norm(gam, i, tol)
         rhs = fden[p] * aden[q] * anorm ** (a - 1)
         rep.check(
             f"composition/a={a}/b={b}/pos={i}/denominator-norm-identity",
@@ -253,14 +248,6 @@ def suite_composition(a: int = 3, b: int = 3, seed: int = 0, tol: float = 1e-9,
             json.dumps({"norm": rnum, "predicted": rpred}),
         )
     return rep.finish(t0)
-
-
-def sa_ratio_denominator_at(g: AdversaryMatrix, i: int, tol: float = 1e-9) -> float:
-    """||Gamma o D_i|| for one position."""
-    arr = g.matrix.to_float()
-    col = g.problem.char_table()[:, i - 1]
-    return power_norm(arr * (col[:, None] != col[None, :]), tol=tol,
-                      name=f"Gamma∘D_{i}").norm
 
 
 def suite_geometry(n: int = 2, **_) -> SuiteReport:

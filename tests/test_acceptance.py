@@ -23,6 +23,7 @@ from tarskilab import (
     hilbert_tile,
     hsos_labeling,
     interval_distinguisher,
+    masked_norm,
     nested_solve,
     os_adversary,
     power_norm,
@@ -37,7 +38,6 @@ from tarskilab import (
 from tarskilab.cli import main as cli_main
 from tarskilab.suites import (
     random_adversary,
-    sa_ratio_denominator_at,
     suite_covering,
     suite_embedding,
     suite_hilbert,
@@ -106,18 +106,11 @@ def test_criterion_03_composition_denominator_identity():
         tiles = [hilbert_tile(b)] * a
         gam = compose_adversary(outer, tiles)
         anorm = spectral_norm(tiles[0].matrix).norm
-        afl = tiles[0].matrix.to_float()
-        fden = {p: sa_ratio_denominator_at(outer, p) for p in range(1, a + 1)}
-        aden = {
-            q: power_norm(afl * interval_distinguisher(b, q).entries).norm
-            for q in range(1, b + 1)
-        }
-        arr = gam.matrix.to_float()
-        chars = gam.problem.char_table()
+        fden = {p: masked_norm(outer, p) for p in range(1, a + 1)}
+        aden = {q: masked_norm(tiles[0], q) for q in range(1, b + 1)}
         for i in range(1, a * b + 1):
             p, q = gam.problem.block_of_position(i)
-            col = chars[:, i - 1]
-            lhs = power_norm(arr * (col[:, None] != col[None, :])).norm
+            lhs = masked_norm(gam, i)
             rhs = fden[p] * aden[q] * anorm ** (a - 1)
             assert abs(lhs - rhs) <= 1e-6 * max(lhs, 1e-30), (a, b, i, lhs, rhs)
     report(3, "exact elementwise (a,b<=3) and norm form (a,b<=4), every position")
@@ -131,11 +124,7 @@ def test_criterion_04_composed_ratio_product_bound():
         sa_h = sa_ratio(gam).sa_value
         sa_f = sa_ratio(outer).sa_value
         anorm = spectral_norm(tiles[0].matrix).norm
-        afl = tiles[0].matrix.to_float()
-        tile_ratio = min(
-            anorm / power_norm(afl * interval_distinguisher(b, q).entries).norm
-            for q in range(1, b + 1)
-        )
+        tile_ratio = min(anorm / masked_norm(tiles[0], q) for q in range(1, b + 1))
         assert sa_h >= sa_f * tile_ratio - 1e-6, (a, b, sa_h, sa_f, tile_ratio)
     report(4, "composed ratio >= outer ratio * min tile ratio for a,b in {2,3,4}")
 
@@ -204,13 +193,25 @@ def test_criterion_09_solver():
     report(9, "nested matches brute on T(10) and T(33) within the query budget")
 
 
+TARSKI_NS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+
+
+def linear_fit(x, y):
+    """Slope and R^2 of the least-squares line through (x, y)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    return slope, 1 - np.sum((y - fitted) ** 2) / np.sum((y - np.mean(y)) ** 2)
+
+
 def test_criterion_10_end_to_end_bound_table(tmp_path):
     tarski_csv = tmp_path / "tarski.csv"
-    rc = cli_main(["bound", "--problem", "tarski", "--sizes", "2,3,4",
+    rc = cli_main(["bound", "--problem", "tarski",
+                   "--sizes", ",".join(map(str, TARSKI_NS)),
                    "--eps", "1/3", "--out", str(tarski_csv)])
     assert rc == 0
     rows = [line.split(",") for line in
             tarski_csv.read_text().strip().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == list(TARSKI_NS)
     lbs = [float(r[5]) for r in rows]
     sas = [float(r[4]) for r in rows]
     factor = 1 - 2 * math.sqrt(2.0) / 3.0
@@ -222,6 +223,15 @@ def test_criterion_10_end_to_end_bound_table(tmp_path):
     # search distinguishes every pair, so the outer ratio is exactly 1 and
     # the row reduces to the m=2 tile ratio 3(sqrt(2)-1), divided by 7
     assert sas[0] == pytest.approx(3 * (math.sqrt(2) - 1) / 7, rel=1e-8)
+    # the rows come from the factors; the dense composed matrix agrees
+    for n, sa in zip((2, 3), sas):
+        gam = compose_adversary(os_adversary(n + 1), [hilbert_tile(n)] * (n + 1))
+        dense = sa_ratio(gam)
+        assert sa == pytest.approx(dense.sa_value / 7.0, rel=1e-12), n
+    # the headline rate: sa grows like (log n)^2
+    tslope, tr2 = linear_fit(np.log(TARSKI_NS) ** 2, np.array(sas))
+    assert tslope > 0
+    assert tr2 > 0.999, tr2
 
     os_csv = tmp_path / "os.csv"
     sizes = ",".join(str(2 ** k) for k in range(1, 9))
@@ -232,11 +242,8 @@ def test_criterion_10_end_to_end_bound_table(tmp_path):
     ms = [int(r[1]) for r in orows]
     osas = [float(r[4]) for r in orows]
     assert all(a <= b + 1e-12 for a, b in zip(osas, osas[1:])), osas
-    x = np.log(ms)
-    y = np.array(osas)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    r2 = 1 - np.sum((y - fitted) ** 2) / np.sum((y - np.mean(y)) ** 2)
+    slope, r2 = linear_fit(np.log(ms), np.array(osas))
     assert slope > 0
     assert r2 > 0.95, r2
-    report(10, f"tarski bounds nondecreasing; ordered-search fit R^2={r2:.4f}")
+    report(10, f"tarski bounds nondecreasing, (log n)^2 fit R^2={tr2:.5f}; "
+              f"ordered-search fit R^2={r2:.4f}")

@@ -13,6 +13,7 @@ from tarskilab import (
     Tile,
     compose_adversary,
     composed_principal_vector,
+    composed_sa_ratio,
     denominator_identity_mismatches,
     distinguisher,
     error_factor,
@@ -22,6 +23,7 @@ from tarskilab import (
     int_labels,
     interval_distinguisher,
     make_os,
+    masked_norm,
     os_adversary,
     sa_ratio,
     spectral_norm,
@@ -101,8 +103,7 @@ def test_tile_of_uniform_roundtrip_and_ratio_identity():
     # ratio identity between the full matrix and its tile
     m = 3
     full = [
-        spectral_norm(g.matrix).norm /
-        sa_denominator(g, i)
+        spectral_norm(g.matrix).norm / masked_norm(g, i)
         for i in range(1, g.problem.length + 1)
     ]
     tnorm = spectral_norm(t.matrix).norm
@@ -114,12 +115,6 @@ def test_tile_of_uniform_roundtrip_and_ratio_identity():
         for i in range(1, m + 1)
     ]
     assert min(full) == pytest.approx(min(tile_ratios), rel=1e-8)
-
-
-def sa_denominator(g, i):
-    from tarskilab.suites import sa_ratio_denominator_at
-
-    return sa_ratio_denominator_at(g, i)
 
 
 def test_tile_of_uniform_rejects_nonuniform():
@@ -268,6 +263,53 @@ def test_masked_composition_equals_composition_of_masked_factors(a, b):
             tiles[:p - 1] + [masked_tile] + tiles[p:],
         )
         assert np.array_equal(lhs, rhs.matrix.entries), (a, b, i)
+
+
+@pytest.mark.parametrize("a,b", list(itertools.product((2, 3, 4), repeat=2)) + [(5, 3)])
+def test_composed_sa_ratio_matches_dense(a, b):
+    outer, tile = os_adversary(a), hilbert_tile(b)
+    gam = compose_adversary(outer, [tile] * a)
+    dense = sa_ratio(gam)
+    fact = composed_sa_ratio(outer, tile)
+    assert fact.numerator == pytest.approx(dense.numerator, rel=1e-12)
+    assert fact.denominator == pytest.approx(dense.denominator, rel=1e-12)
+    assert fact.query_lower_bound == pytest.approx(dense.query_lower_bound, rel=1e-12)
+    # mirror-image positions tie, so the two paths may name different ones,
+    # but the factored one reaches the dense maximum
+    assert 1 <= fact.worst_position <= a * b
+    assert masked_norm(gam, fact.worst_position) == pytest.approx(
+        dense.denominator, rel=1e-12)
+
+
+def test_composed_sa_ratio_single_block_raises_like_dense():
+    outer, tile = os_adversary(1), hilbert_tile(3)
+    with pytest.raises(AdversaryError) as dense:
+        sa_ratio(compose_adversary(outer, [tile]))
+    with pytest.raises(AdversaryError) as fact:
+        composed_sa_ratio(outer, tile)
+    assert str(fact.value) == str(dense.value)
+
+
+def test_composed_sa_ratio_rejects_invalid_labeling():
+    # swap the variants of one answer: the equality pattern at a position
+    # then depends on which answers are compared
+    lab = hsos_labeling(2)
+    swapped = dict(lab.instance_of)
+    up1, up2 = (lab.answers[0], 1), (lab.answers[0], 2)
+    swapped[up1], swapped[up2] = lab.instance_of[up2], lab.instance_of[up1]
+    bad = Tile(matrix=hilbert_tile(2).matrix,
+               labeling=lab.__class__(problem=lab.problem, variants=2,
+                                      answers=lab.answers, instance_of=swapped))
+    with pytest.raises(AdversaryError, match="not well-defined"):
+        composed_sa_ratio(os_adversary(2), bad)
+
+
+def test_masked_norm_rejects_out_of_range_position():
+    for i in (0, 3):
+        with pytest.raises(AdversaryError, match="out of range"):
+            masked_norm(os_adversary(2), i)
+        with pytest.raises(AdversaryError, match="out of range"):
+            masked_norm(hilbert_tile(2), i)
 
 
 def test_symmetrize_fixes_uniform_input():

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from tarskilab import LabeledMatrix, os_adversary
+from tarskilab import (
+    LabeledMatrix,
+    compose_adversary,
+    hilbert_tile,
+    masked_norm,
+    os_adversary,
+    spectral_norm,
+)
 from tarskilab.cli import main
 
 
@@ -143,9 +150,39 @@ def test_bound_nos_and_tarski_values(tmp_path, capsys):
     assert trows[0]["sa"] == pytest.approx(rows[0]["sa"] / 7.0, rel=1e-6)
 
 
-def test_bound_rejects_oversized_nos(capsys):
-    assert run(["bound", "--problem", "nos", "--sizes", "6x6"]) == 2
-    assert "capped" in capsys.readouterr().err
+def test_bound_nos_6x6_row_equals_factor_formula(capsys):
+    # 279 936 instances: the row comes from the factors, no dense matrix
+    assert run(["bound", "--problem", "nos", "--sizes", "6x6",
+                "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    outer, tile = os_adversary(6), hilbert_tile(6)
+    anorm = spectral_norm(tile.matrix).norm
+    fden = max(masked_norm(outer, p) for p in range(1, 7))
+    aden = max(masked_norm(tile, q) for q in range(1, 7))
+    assert row["numerator"] == pytest.approx(
+        spectral_norm(outer.matrix).norm * anorm ** 6, rel=1e-12)
+    assert row["denominator"] == pytest.approx(fden * aden * anorm ** 5, rel=1e-12)
+    assert row["sa"] == pytest.approx(row["numerator"] / row["denominator"], rel=1e-15)
+    assert 1 <= row["worst_position"] <= 36
+
+
+def test_bound_dump_matrix_rejects_oversized_nos(tmp_path, capsys):
+    dump = tmp_path / "dumps"
+    assert run(["bound", "--problem", "nos", "--sizes", "6x6",
+                "--dump-matrix", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert "capped" in captured.err and captured.out == ""
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("problem,sizes", [("nos", "2x2,3x3,4x3"), ("tarski", "2,3,4")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bound_composed_rows_deterministic(tmp_path, problem, sizes, fmt):
+    outs = [tmp_path / f"{k}.{fmt}" for k in (1, 2)]
+    for out in outs:
+        assert run(["bound", "--problem", problem, "--sizes", sizes,
+                    "--format", fmt, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_bound_rejects_malformed_sizes(capsys):
@@ -164,6 +201,13 @@ def test_bound_dump_matrix(tmp_path):
     assert mat.dim == 3
     assert mat.entries[0, 2] == 1 / 3
     assert np.array_equal(mat.entries, os_adversary(3).matrix.entries)
+    # composed rows build the dense matrix only for the dump
+    assert run(["bound", "--problem", "nos", "--sizes", "2x2",
+                "--out", str(tmp_path / "n.csv"), "--dump-matrix", str(dump)]) == 0
+    nos = LabeledMatrix.from_json((dump / "gamma_nos_2x2.json").read_text())
+    dense = compose_adversary(os_adversary(2), [hilbert_tile(2)] * 2).matrix
+    assert nos.labels == dense.labels
+    assert np.array_equal(nos.entries, dense.entries)
 
 
 @pytest.mark.parametrize("n", ["1", "0"])
