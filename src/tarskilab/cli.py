@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -93,7 +94,6 @@ def cmd_verify(args) -> int:
         "b": args.b,
         "seed": args.seed,
         "sample": args.sample,
-        "jobs": args.jobs,
         "tol": args.tol,
     }
     if args.m is not None:  # else each suite keeps its own default m_max
@@ -232,6 +232,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tarskilab",
@@ -257,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--sample", type=int, default=200,
                    help="interior sample size for covering at n >= 3; 0 = exhaustive")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--out", type=str, default=None, help="write the report as JSON")
     v.set_defaults(func=cmd_verify)

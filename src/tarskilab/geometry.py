@@ -18,14 +18,15 @@ instance family pairs every C with a fixed-point chunk index i; queries on
 chunk boundaries then give ordered-search feedback on C and i, which is the
 bridge to nested ordered search.
 
-All arithmetic in this module is exact (ints and fractions); floats never
-enter.
+All arithmetic is exact integer arithmetic on numpy arrays, a whole grid
+line or spine at once; :func:`round_half_up` and :func:`line_point` state
+the same half-up rounding for one point with ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -65,6 +66,26 @@ def line_point(u: Point, v: Point, c: int) -> Point:
     return (x, c - x)
 
 
+def _line_xs(u1, v1, b, d, c):
+    """x-coordinates of grid-line points at sums ``c`` (arrays broadcast):
+    N/D = (u1(d-c) + v1(c-b))/(d-b) rounded half up, as (2N + D) // 2D."""
+    D = d - b
+    return (2 * (u1 * (d - c) + v1 * (c - b)) + D) // (2 * D)
+
+
+def _unit_step_path(points, what: str) -> np.ndarray:
+    """``points`` as a read-only (len, 2) int array; raises unless each step
+    is (1, 0) or (0, 1)."""
+    xy = np.array(points, dtype=np.int64)
+    xy.setflags(write=False)
+    steps = np.diff(xy, axis=0)
+    bad = np.flatnonzero((steps.sum(axis=1) != 1) | (steps.min(axis=1) != 0))
+    if len(bad):
+        a, b = (tuple(xy[k].tolist()) for k in (bad[0], bad[0] + 1))
+        raise GeometryError(f"{what} not connected/monotone at {a} -> {b}")
+    return xy
+
+
 @dataclass(frozen=True)
 class GridLine:
     u: Point
@@ -74,9 +95,7 @@ class GridLine:
     def __post_init__(self):
         if self.points[0] != self.u or self.points[-1] != self.v:
             raise GeometryError("grid line does not join its endpoints")
-        for a, b in zip(self.points, self.points[1:]):
-            if (b[0] - a[0], b[1] - a[1]) not in ((1, 0), (0, 1)):
-                raise GeometryError(f"grid line not connected/monotone at {a} -> {b}")
+        _unit_step_path(self.points, "grid line")
 
 
 def grid_line(u: Point, v: Point) -> GridLine:
@@ -85,8 +104,9 @@ def grid_line(u: Point, v: Point) -> GridLine:
         raise GeometryError(f"endpoints not comparable: {u} !<= {v}")
     if u == v:
         return GridLine(u, v, (u,))
-    pts = tuple(line_point(u, v, c) for c in range(u[0] + u[1], v[0] + v[1] + 1))
-    return GridLine(u, v, pts)
+    c = np.arange(u[0] + u[1], v[0] + v[1] + 1)
+    xs = _line_xs(u[0], v[0], c[0], c[-1], c)
+    return GridLine(u, v, tuple(zip(xs.tolist(), (c - xs).tolist())))
 
 
 @dataclass(frozen=True)
@@ -153,13 +173,12 @@ class Spine:
 
     vertices: tuple[Point, ...]
     c_vector: tuple[int, ...] | None = None
+    xy: np.ndarray = field(init=False, repr=False, compare=False)  # vertices, (len, 2)
 
     def __post_init__(self):
         if self.vertices[0] != (1, 1) or self.vertices[-1][0] != self.vertices[-1][1]:
             raise GeometryError("spine must run from (1, 1) to the top corner")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if (b[0] - a[0], b[1] - a[1]) not in ((1, 0), (0, 1)):
-                raise GeometryError(f"spine not connected/monotone at {a} -> {b}")
+        object.__setattr__(self, "xy", _unit_step_path(self.vertices, "spine"))
 
     @property
     def n(self) -> int:
@@ -171,7 +190,8 @@ def chunked_spine(geo: SpineGeometry, C: Sequence[int]) -> Spine:
 
     Splices, per chunk i: a diagonal climb at index C_i up to region C_i + 1,
     a transition to index C_(i+1) inside that region, and a diagonal climb
-    out; plus the two corner segments.  Junction vertices are merged.
+    out; plus the two corner segments.  Segment k owns the sums (b_k, d_k]
+    (and segment 0 also b_0 = 2), so all vertices come from one _line_xs.
     """
     n = geo.n
     C = tuple(C)
@@ -187,11 +207,18 @@ def chunked_spine(geo: SpineGeometry, C: Sequence[int]) -> Spine:
             (bp(geo.high[(i, ci + 1)], cnext), bp(geo.high[(i, n + 2)], cnext)),
         ]
     segments.append((bp(geo.high[(n, n + 2)], C[n]), (geo.n_prime, geo.n_prime)))
-    vertices: list[Point] = []
-    for u, v in segments:
-        pts = grid_line(u, v).points
-        vertices.extend(pts if not vertices else pts[1:])
-    spine = Spine(vertices=tuple(vertices), c_vector=C)
+    U, V = np.array(segments).transpose(1, 0, 2)  # (segments, 2) each
+    bad = (U > V).any(axis=1)
+    if bad.any():
+        raise GeometryError("endpoints not comparable: %s !<= %s" % segments[bad.argmax()])
+    b, d = U.sum(axis=1), V.sum(axis=1)
+    c = np.arange(2, 2 * geo.n_prime + 1)
+    k = np.searchsorted(d, c)
+    xs = _line_xs(U[k, 0], V[k, 0], b[k], d[k], c)
+    if (xs[d - 2] != V[:, 0]).any():
+        raise GeometryError("grid line does not join its endpoints")
+    vertices = tuple(zip(xs.tolist(), (c - xs).tolist()))
+    spine = Spine(vertices=vertices, c_vector=C)
     for i in range(1, n + 2):
         want = bp(geo.bound[i], C[i - 1])
         if vertices[want[0] + want[1] - 2] != want:
@@ -206,31 +233,22 @@ def herringbone(spine: Spine, fp_sum: int) -> LatticeFn:
     On-spine vertices step along the spine toward the fixed point; off-spine
     vertices step diagonally toward the spine ((x+1, y-1) above it,
     (x-1, y+1) below).  "Above" means dominating some spine vertex in the
-    same column.
+    same column: the spine takes unit steps, so column x holds it exactly at
+    the y in [ylo[x], yhi[x]].  Every cell first gets its diagonal step, by
+    broadcasting y against ``yhi``; one scatter along the spine then
+    overwrites the spine's own cells.
     """
     n = spine.n
     if not 2 <= fp_sum <= 2 * n:
         raise GeometryError(f"fixed-point sum {fp_sum} outside [2, {2 * n}]")
-    path = spine.vertices
-    jfix = fp_sum - 2  # vertex index: the path visits sum c at position c-2
-    pos = {v: t for t, v in enumerate(path)}
-    ylo = {}
-    yhi = {}
-    for (x, y) in path:
-        ylo[x] = min(ylo.get(x, y), y)
-        yhi[x] = max(yhi.get(x, y), y)
-    vals = np.zeros((n, n, 2), dtype=np.int32)
-    for x in range(1, n + 1):
-        lo, hi = ylo[x], yhi[x]
-        for y in range(1, n + 1):
-            t = pos.get((x, y))
-            if t is not None:
-                out = (x, y) if t == jfix else (path[t + 1] if t < jfix else path[t - 1])
-            elif y > hi:
-                out = (x + 1, y - 1)
-            else:
-                out = (x - 1, y + 1)
-            vals[x - 1, y - 1] = out
+    path = spine.xy
+    cols = np.arange(1, n + 1)
+    yhi = path[np.searchsorted(path[:, 0], cols, side="right") - 1, 1]
+    d = np.where(cols[None, :] > yhi[:, None], 1, -1)  # above: +1, below: -1
+    vals = np.stack([cols[:, None] + d, cols[None, :] - d], axis=-1, dtype=np.int32)
+    t = np.arange(len(path))  # vertex index; the fixed point sits at fp_sum - 2
+    toward_fix = np.clip(t + np.sign(fp_sum - 2 - t), 0, len(path) - 1)
+    vals[path[:, 0] - 1, path[:, 1] - 1] = path[toward_fix]
     return LatticeFn(n=n, values=vals)
 
 

@@ -18,6 +18,7 @@ converges to a nonnegative principal eigenvector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -130,13 +131,16 @@ def power_norm(A: np.ndarray, tol: float = 1e-9, v0: np.ndarray | None = None,
         v = np.maximum(np.asarray(v0, dtype=np.float64), 0.0) + 1e-8 * start
     else:
         v = start
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     cap = max_iterations if max_iterations is not None else 100 * d
-    Mv = A @ v
-    lam = float(v @ Mv)
-    residual = float(np.linalg.norm(Mv - lam * v))
     it = 0
-    while residual > tol * max(lam, 1e-30):
+    while True:
+        Mv = A @ v
+        lam = float(v @ Mv)
+        r = Mv - lam * v
+        residual = math.sqrt(r.dot(r))  # the bits of np.linalg.norm, without its overhead
+        if not residual > tol * max(lam, 1e-30):
+            break
         if it >= cap:
             raise SpectralConvergenceError(
                 f"power iteration on {name or f'{d}x{d} matrix'} did not reach "
@@ -147,13 +151,10 @@ def power_norm(A: np.ndarray, tol: float = 1e-9, v0: np.ndarray | None = None,
         # shifting by the current Rayleigh estimate also speeds up the
         # lam_min = -lam_max corner.
         w = Mv + max(lam, 1e-30) * v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             break
         v = w / nw
-        Mv = A @ v
-        lam = float(v @ Mv)
-        residual = float(np.linalg.norm(Mv - lam * v))
     return SpectralResult(max(lam, 0.0), v, it, residual)
 
 

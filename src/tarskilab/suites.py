@@ -4,8 +4,7 @@ Each suite runs a battery of checks over a parameter range and returns a
 :class:`SuiteReport`.  A check that fails contributes a (check id,
 counterexample) pair; the counterexample is serialized well enough to replay
 that single check by hand.  A suite is deterministic given its parameters
-and seed, and failures are sorted by check id before reporting so sharded
-runs merge reproducibly.
+and seed, and failures are sorted by check id before reporting.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +33,12 @@ from .adversary import (
 )
 from .geometry import (
     SpineGeometry,
+    _line_xs,
     build_geometry,
+    build_instance,
     chunked_spine,
     covering_set,
+    family_parameters,
     line_point,
     nos_correspondence,
     region_anchor,
@@ -93,15 +94,27 @@ def random_adversary(problem: QueryProblem, rng: np.random.Generator) -> Adversa
 
 
 def value_tables(geo: SpineGeometry) -> tuple[list, np.ndarray]:
-    """All family parameters plus an encoded value table (instance, x, y)."""
-    params = []
-    tables = []
-    for C, i, fn in tarski_family(geo):
-        params.append((C, i))
-        tables.append(fn.values)
-    stack = np.stack(tables)  # (count, n', n', 2)
-    enc = stack[:, :, :, 0].astype(np.int64) * (geo.n_prime + 2) + stack[:, :, :, 1]
+    """All family parameters plus one int32 table (instance, x, y) of the
+    values (fx, fy), encoded as fx * (n' + 2) + fy."""
+    params = list(family_parameters(geo))
+    enc = np.empty((len(params), geo.n_prime, geo.n_prime), dtype=np.int32)
+    for row, (C, i) in zip(enc, params):
+        vals = build_instance(geo, C, i).values
+        row[...] = vals[:, :, 0] * (geo.n_prime + 2) + vals[:, :, 1]
     return params, enc
+
+
+def _first_split_pair(col: np.ndarray, keys: np.ndarray) -> tuple[int, int] | None:
+    """First pair (r, s), in row-major order, of instances that agree on every
+    column of ``keys`` but differ in ``col``; None if there is none.  Groups
+    instances by their ``keys`` row: O(N log N), not N x N."""
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    split = col != col[first][group]
+    if not split.any():
+        return None
+    r = int(first[group[split]].min())  # the first member of any split group
+    return r, int(np.argmax(split & (group == group[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -278,50 +291,35 @@ def suite_geometry(n: int = 2, **_) -> SuiteReport:
     bsums = geo.chunk_boundary_sums()
     pairs += [(bsums[i], bsums[j]) for i in range(len(bsums)) for j in range(i + 1, len(bsums))]
     for blo, bhi in pairs:
-        los = geo.boundary_points[blo]
-        his = geo.boundary_points[bhi]
-        for v in his:
-            for u1, u2 in zip(los, los[1:]):
-                ok = all(
-                    line_point(u1, v, c)[0] <= line_point(u2, v, c)[0]
-                    for c in range(blo, bhi + 1)
-                )
-                rep.check(
-                    f"geometry/n={n}/line-monotone-in-u/{blo}->{bhi}/v={v}/u={u1}",
-                    ok, json.dumps({"u1": u1, "u2": u2, "v": v}),
-                )
-        for u in los:
-            for v1, v2 in zip(his, his[1:]):
-                ok = all(
-                    line_point(u, v1, c)[0] <= line_point(u, v2, c)[0]
-                    for c in range(blo, bhi + 1)
-                )
-                rep.check(
-                    f"geometry/n={n}/line-monotone-in-v/{blo}->{bhi}/u={u}/v={v1}",
-                    ok, json.dumps({"u": u, "v1": v1, "v2": v2}),
-                )
+        los, his = geo.boundary_points[blo], geo.boundary_points[bhi]
+        # xs[a, b, k]: the line from los[a] to his[b] at sum blo + k
+        xs = _line_xs(np.array(los)[:, None, None, 0], np.array(his)[None, :, None, 0],
+                      blo, bhi, np.arange(blo, bhi + 1))
+        in_u = (np.diff(xs, axis=0) >= 0).all(axis=2)
+        in_v = (np.diff(xs, axis=1) >= 0).all(axis=2)
+        for b, v in enumerate(his):
+            for a, (u1, u2) in enumerate(zip(los, los[1:])):
+                rep.check(f"geometry/n={n}/line-monotone-in-u/{blo}->{bhi}/v={v}/u={u1}",
+                          bool(in_u[a, b]), json.dumps({"u1": u1, "u2": u2, "v": v}))
+        for a, u in enumerate(los):
+            for b, (v1, v2) in enumerate(zip(his, his[1:])):
+                rep.check(f"geometry/n={n}/line-monotone-in-v/{blo}->{bhi}/u={u}/v={v1}",
+                          bool(in_v[a, b]), json.dumps({"u": u, "v1": v1, "v2": v2}))
 
     # Chunked spines: construction re-validates boundary crossings; check the
     # endpoints, the vertex count, and that every vertex stays in the
     # reachable offset band.
     for C in itertools.product(range(1, n + 1), repeat=n + 1):
         spine = chunked_spine(geo, C)
-        ok = (
-            spine.vertices[0] == (1, 1)
-            and spine.vertices[-1] == (geo.n_prime, geo.n_prime)
-            and len(spine.vertices) == 2 * geo.n_prime - 1
-            and all(-(n - 1) <= x - y <= n for x, y in spine.vertices)
-        )
+        off = spine.xy[:, 0] - spine.xy[:, 1]
+        ok = (spine.vertices[0] == (1, 1) and spine.vertices[-1] == (geo.n_prime, geo.n_prime)
+              and len(off) == 2 * geo.n_prime - 1 and -(n - 1) <= off.min() and off.max() <= n)
         rep.check(f"geometry/n={n}/spine/C={list(C)}", ok, json.dumps(list(C)))
 
     # Region anchors: every tube point in the chunk range has one, and the
     # anchor line is consistent across all enclosing boundary pairs.
-    anchor_points = []
-    for x in range(1, geo.n_prime + 1):
-        for y in range(1, geo.n_prime + 1):
-            c = x + y
-            if geo.bound[1] <= c <= geo.bound[n + 1] and -(n - 1) <= x - y <= n:
-                anchor_points.append((x, y))
+    anchor_points = [(x, y) for x in range(1, geo.n_prime + 1) for y in range(1, geo.n_prime + 1)
+                     if geo.bound[1] <= x + y <= geo.bound[n + 1] and -(n - 1) <= x - y <= n]
     for w in anchor_points:
         try:
             alpha, beta, ell = region_anchor(geo, w)
@@ -365,25 +363,23 @@ def suite_embedding(n: int = 2, **_) -> SuiteReport:
         for j in range(1, n + 1):
             bx, by = geo.boundary_point(geo.bound[i], j)
             colt = enc[:, bx - 1, by - 1]
-            dt = colt[:, None] != colt[None, :]
             coln = chars[:, (i - 1) * n + (j - 1)]
-            dn = coln[:, None] != coln[None, :]
-            ok = bool((dt == dn).all())
-            why = ""
-            if not ok:
-                r, s = map(int, np.argwhere(dt != dn)[0])
-                why = json.dumps({"i": i, "j": j, "pair": [params[r], params[s]]})
+            # Equal partitions: neither side splits a class of the other.
+            pair = min(filter(None, (_first_split_pair(colt, coln[:, None]),
+                                     _first_split_pair(coln, colt[:, None]))), default=None)
+            ok = pair is None
+            why = "" if ok else json.dumps({"i": i, "j": j, "pair": [params[k] for k in pair]})
             rep.check(f"embedding/n={n}/boundary/i={i}/j={j}", ok, why)
     return rep.finish(t0)
 
 
-def suite_covering(n: int = 2, seed: int = 0, sample: int = 200, jobs: int = 1,
-                   **_) -> SuiteReport:
+def suite_covering(n: int = 2, seed: int = 0, sample: int = 200, **_) -> SuiteReport:
     """Covering property of the seven-point sets.
 
     n = 2 (or ``sample = 0``) checks every lattice point; otherwise all
     chunk- and region-boundary tube points are checked exhaustively plus a
-    seeded sample of the remaining points.
+    seeded sample of the remaining points.  V covers p when the value at p
+    is constant within each group of instances that agree on all of V.
     """
     t0 = time.time()
     rep = SuiteReport(suite="covering")
@@ -403,36 +399,19 @@ def suite_covering(n: int = 2, seed: int = 0, sample: int = 200, jobs: int = 1,
         picks = rng.choice(len(rest), size=min(sample, len(rest)), replace=False)
         points = forced + [rest[k] for k in sorted(picks)]
 
-    def check_point(p):
+    for p in points:
+        rep.checks_run += 1
         V = covering_set(geo, p)
         if len(V) > 7:
-            return (f"covering/n={n}/point={p}/size", json.dumps({"V": V}))
+            rep.failures.append((f"covering/n={n}/point={p}/size", json.dumps({"V": V})))
+            continue
         col = enc[:, p[0] - 1, p[1] - 1]
-        dp = col[:, None] != col[None, :]
-        if not dp.any():
-            return None
-        u = np.zeros_like(dp)
-        for (vx, vy) in V:
-            cv = enc[:, vx - 1, vy - 1]
-            u |= cv[:, None] != cv[None, :]
-        bad = dp & ~u
-        if bad.any():
-            r, s = map(int, np.argwhere(bad)[0])
-            return (
-                f"covering/n={n}/point={p}/covered",
-                json.dumps({"V": V, "pair": [params[r], params[s]]}),
-            )
-        return None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check_point, points))
-    else:
-        results = [check_point(p) for p in points]
-    for p, res in zip(points, results):
-        rep.checks_run += 1
-        if res is not None:
-            rep.failures.append(res)
+        if (col == col[0]).all():
+            continue
+        pair = _first_split_pair(col, enc[:, [v[0] - 1 for v in V], [v[1] - 1 for v in V]])
+        if pair is not None:
+            rep.failures.append((f"covering/n={n}/point={p}/covered",
+                                 json.dumps({"V": V, "pair": [params[k] for k in pair]})))
     return rep.finish(t0)
 
 

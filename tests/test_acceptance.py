@@ -156,9 +156,10 @@ def test_criterion_07_covering():
     rep2 = suite_covering(n=2)
     assert rep2.failures == [], rep2.failures[:3]
     assert rep2.checks_run == 100
-    rep3 = suite_covering(n=3, seed=0, sample=200)
+    rep3 = suite_covering(n=3, sample=0)
     assert rep3.failures == [], rep3.failures[:3]
-    report(7, "covering holds exhaustively at n=2 and on the n=3 sweep")
+    assert rep3.checks_run == 33 * 33
+    report(7, "covering holds exhaustively at n=2 and n=3")
 
 
 def test_criterion_08_instance_family_soundness():

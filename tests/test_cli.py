@@ -1,6 +1,11 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from tarskilab import (
 )
 from tarskilab.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def run(argv):
     return main(argv)
@@ -234,3 +240,51 @@ def test_solve_rejects_ill_typed_files(tmp_path, capsys, obj, message):
     path.write_text(json.dumps(obj))
     assert run(["solve", "--instance", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def _fresh_process(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "tarskilab.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _no_wall_time(text):
+    return re.sub(r"wall_time=\S+", "wall_time=*", text)
+
+
+def test_parser_reused_across_calls_matches_fresh_processes(tmp_path, capsys):
+    from tarskilab.cli import build_parser
+
+    assert build_parser() is build_parser()  # built once per process
+    inst = tmp_path / "inst"
+    assert run(["gen", "--n", "2", "--C", "1,2,2", "--i", "1", "--out", str(inst)]) == 0
+    path = inst / "tarski_n2_i1_C1-2-2.json"
+    capsys.readouterr()
+    commands = [
+        ["verify", "--suite", "symmetrize", "--m", "2", "--seed", "3"],
+        ["verify", "--suite", "symmetrize"],  # --m and --seed must not leak
+        ["solve", "--instance", str(path), "--format", "json"],
+        ["solve", "--instance", str(path)],  # --format must not leak
+        ["bound", "--problem", "os", "--sizes", "2,3", "--format", "json"],
+        ["bound", "--problem", "hsos", "--sizes", "2"],
+        ["verify", "--suite", "covering", "--n", "two"],  # bad command line
+        ["solve", "--instance", str(path), "--algo", "brute"],
+    ]
+    for argv in commands:
+        rc, out, err = _in_process(argv, capsys)
+        frc, fout, ferr = _fresh_process(argv, tmp_path)
+        assert (rc, _no_wall_time(out), err) == (frc, _no_wall_time(fout), ferr), argv
+    assert _in_process(commands[1], capsys)[1].startswith("suite=symmetrize checks=60 ")
+    assert _in_process(commands[6], capsys)[0] == 2

@@ -65,6 +65,9 @@ def test_grid_line_connected_monotone(x, y, dx, dy):
     assert gl.points[0] == (x, y)
     assert gl.points[-1] == (x + dx, y + dy)
     assert len(gl.points) == dx + dy + 1
+    if dx + dy:  # the vectorized closed form agrees with line_point everywhere
+        assert gl.points == tuple(line_point((x, y), (x + dx, y + dy), c)
+                                  for c in range(x + y, x + y + dx + dy + 1))
 
 
 def test_endpoint_monotonicity_of_lines():
@@ -253,3 +256,64 @@ def test_covering_property_exhaustive_n2():
                 cv = enc[:, vx - 1, vy - 1]
                 covered |= cv[:, None] != cv[None, :]
             assert not (differ & ~covered).any(), (x, y, V)
+
+
+
+def _reference_spine(geo, C):
+    """Chunked spine spliced from ``line_point`` (Fraction) vertices, one
+    grid line at a time."""
+    n, bp = geo.n, geo.boundary_point
+    segments = [((1, 1), bp(geo.low[(1, 1)], C[0]))]
+    for k in range(1, n + 1):
+        ck, cnext = C[k - 1], C[k]
+        segments += [
+            (bp(geo.low[(k, 1)], ck), bp(geo.low[(k, ck + 1)], ck)),
+            (bp(geo.low[(k, ck + 1)], ck), bp(geo.high[(k, ck + 1)], cnext)),
+            (bp(geo.high[(k, ck + 1)], cnext), bp(geo.high[(k, n + 2)], cnext)),
+        ]
+    segments.append((bp(geo.high[(n, n + 2)], C[n]), (geo.n_prime, geo.n_prime)))
+    path = []
+    for u, v in segments:
+        pts = [line_point(u, v, c) for c in range(sum(u), sum(v) + 1)]
+        path.extend(pts if not path else pts[1:])
+    return path
+
+
+def _reference_values(geo, path, i):
+    """Herringbone on ``path`` with the fixed point on chunk boundary i,
+    built cell by cell."""
+    jfix = geo.bound[i] - 2
+    pos = {v: t for t, v in enumerate(path)}
+    yhi = {}
+    for x, y in path:
+        yhi[x] = max(yhi.get(x, y), y)
+    m = geo.n_prime
+    vals = np.zeros((m, m, 2), dtype=np.int32)
+    for x in range(1, m + 1):
+        for y in range(1, m + 1):
+            t = pos.get((x, y))
+            if t is not None:
+                out = (x, y) if t == jfix else (path[t + 1] if t < jfix else path[t - 1])
+            elif y > yhi[x]:
+                out = (x + 1, y - 1)
+            else:
+                out = (x - 1, y + 1)
+            vals[x - 1, y - 1] = out
+    return vals
+
+
+@pytest.mark.parametrize("n,sample", [(2, None), (3, None), (4, 150)])
+def test_family_matches_per_cell_reference(n, sample):
+    geo = build_geometry(n)
+    params = list(family_parameters(geo))
+    if sample is not None:
+        rng = np.random.default_rng(n)
+        params = [params[k] for k in rng.choice(len(params), size=sample, replace=False)]
+    spines = {}
+    for C, i in params:
+        if C not in spines:
+            spines[C] = _reference_spine(geo, C)
+            assert chunked_spine(geo, C).vertices == tuple(spines[C]), C
+        fn = build_instance(geo, C, i)
+        assert fn.values.dtype == np.int32
+        assert np.array_equal(fn.values, _reference_values(geo, spines[C], i)), (C, i)

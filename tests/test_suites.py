@@ -1,11 +1,13 @@
-"""Suite runner behavior: reports, failure serialization, sharding."""
+"""Suite runner behavior: reports, failure serialization, the grouping checks."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
-from tarskilab import SUITES, SuiteReport, run_suite
-from tarskilab.suites import suite_covering, suite_embedding, suite_solver
+from tarskilab import SUITES, SuiteReport, build_geometry, covering_set, run_suite
+from tarskilab.suites import suite_covering, suite_embedding, suite_solver, value_tables
 
 
 def test_suite_registry_complete():
@@ -32,11 +34,56 @@ def test_report_json_excludes_wall_time_and_sorts_failures():
     assert set(obj) == {"suite", "checks_run", "failures"}
 
 
-def test_covering_jobs_sharding_matches_serial():
-    serial = suite_covering(n=2, jobs=1)
-    sharded = suite_covering(n=2, jobs=3)
-    assert serial.checks_run == sharded.checks_run == 100
-    assert serial.failures == sharded.failures == []
+def _dense_covering_failures(n, cover):
+    """Pairwise rule: V covers p when every two instances that differ at p
+    also differ on V.  Maps each uncovered point to its first bad pair."""
+    geo = build_geometry(n)
+    params, enc = value_tables(geo)
+    out = {}
+    for x in range(1, geo.n_prime + 1):
+        for y in range(1, geo.n_prime + 1):
+            col = enc[:, x - 1, y - 1]
+            bad = col[:, None] != col[None, :]
+            for vx, vy in cover(geo, (x, y)):
+                cv = enc[:, vx - 1, vy - 1]
+                bad &= cv[:, None] == cv[None, :]
+            if bad.any():
+                r, s = map(int, np.argwhere(bad)[0])
+                out[(x, y)] = json.loads(json.dumps([params[r], params[s]]))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_covering_grouping_agrees_with_pairwise_rule(n):
+    rep = suite_covering(n=n, sample=0)
+    assert rep.checks_run == build_geometry(n).n_prime ** 2
+    assert rep.failures == []
+    assert _dense_covering_failures(n, covering_set) == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_covering_grouping_reports_the_pairwise_counterexample(monkeypatch, n):
+    import tarskilab.suites as suites_mod
+
+    def drop_first(geo, p):
+        return covering_set(geo, p)[1:]
+
+    monkeypatch.setattr(suites_mod, "covering_set", drop_first)
+    rep = suites_mod.suite_covering(n=n, sample=0)
+    dense = _dense_covering_failures(n, drop_first)
+    assert rep.failures and len(rep.failures) == len(dense)
+    geo = build_geometry(n)
+    params, enc = value_tables(geo)
+    index = {(tuple(C), i): k for k, (C, i) in enumerate(params)}
+    for check_id, counterexample in rep.failures:
+        p = tuple(int(t) for t in re.search(r"point=\((\d+), (\d+)\)", check_id).groups())
+        payload = json.loads(counterexample)
+        assert payload["V"] == [list(v) for v in drop_first(geo, p)]
+        assert payload["pair"] == dense[p]  # the same first pair as the dense rule
+        r, s = (index[(tuple(C), i)] for C, i in payload["pair"])
+        assert enc[r, p[0] - 1, p[1] - 1] != enc[s, p[0] - 1, p[1] - 1]
+        for vx, vy in payload["V"]:
+            assert enc[r, vx - 1, vy - 1] == enc[s, vx - 1, vy - 1]
 
 
 def test_covering_failures_carry_replayable_counterexample(monkeypatch):
