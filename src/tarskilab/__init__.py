@@ -47,8 +47,8 @@ from .adversary import (
     error_factor,
     hilbert_tile,
     hsos_labeling,
-    interval_distinguisher,
     masked_norm,
+    masked_norms,
     os_adversary,
     sa_ratio,
     symmetrize,

@@ -29,6 +29,7 @@ all adversary matrices is attempted (a lower bound needs no optimality).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import LabeledMatrix, int_labels, power_norm, spectral_norm
+from .matrices import LabeledMatrix, SpectralResult, int_labels, power_norms, spectral_norm
 from .problems import (
     ComposedProblem,
     QueryProblem,
@@ -48,6 +49,13 @@ from .problems import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Bytes of masked matrices per power-iteration stack: from d = 257 on each
+# position runs alone, which keeps it hot in L2 and peak memory flat.
+STACK_BYTES = 1 << 20
+# Mirror positions tie up to rounding: the worst position reported is the
+# first one within this relative distance of the maximum.
+TIE_RTOL = 1e-12
 
 
 class AdversaryError(ValueError):
@@ -124,7 +132,7 @@ def hsos_labeling(m: int) -> SearchLabeling:
     p = make_hsos(m)
     answers = (Sym.UP, Sym.DN, Sym.ST)
     instance_of = {
-        (sigma, j): bytes([Sym.RT] * (j - 1) + [sigma] + [Sym.LT] * (m - j))
+        (sigma, j): bytes([Sym.RT]) * (j - 1) + bytes([sigma]) + bytes([Sym.LT]) * (m - j)
         for sigma in answers
         for j in range(1, m + 1)
     }
@@ -144,6 +152,47 @@ def hilbert_tile(m: int) -> Tile:
     return Tile(matrix=mat, labeling=hsos_labeling(m))
 
 
+def _labeling_chars(lab: SearchLabeling) -> np.ndarray:
+    """(|Sigma|, m, length) characters of the instances (sigma, j)."""
+    raw = b"".join(lab.instance_of[(s, j)] for s in lab.answers for j in range(1, lab.variants + 1))
+    return np.frombuffer(raw, dtype=np.uint8).reshape(
+        len(lab.answers), lab.variants, lab.problem.length)
+
+
+def _position_masks(chars: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """(k, d, d) boolean distinguishers at ``positions``, in one broadcast.
+
+    ``chars`` is a problem's char table as one group, or a tile labeling's
+    characters grouped by answer, where every ordered pair of groups must
+    give the same mask (:func:`tile_distinguisher`)."""
+    length = chars.shape[-1]
+    for i in positions:
+        if not 1 <= i <= length:
+            raise AdversaryError(f"position {i} out of range 1..{length}")
+    cols = chars[:, :, np.asarray(positions, dtype=np.intp) - 1].transpose(0, 2, 1)
+
+    def diff(s1, s2):
+        return cols[s1][:, :, None] != cols[s2][:, None, :]
+
+    if len(cols) == 1:
+        return diff(0, 0)
+    # pair (s2, s1) gives the transpose of pair (s1, s2), so a symmetric
+    # first mask that every unordered pair matches is matched by all pairs
+    out = diff(0, 1)
+    if not (np.array_equal(out, out.transpose(0, 2, 1)) and all(
+            np.array_equal(out, diff(s1, s2))
+            for s1, s2 in list(itertools.combinations(range(len(cols)), 2))[1:])):
+        # the first witness in order of position, answer pair, variant pair
+        t, _, a, b = min((w[0][0], n, w[0][1], w[0][2]) for n, w in enumerate(
+            np.argwhere(out != diff(s1, s2))
+            for s1, s2 in itertools.permutations(range(len(cols)), 2)) if len(w))
+        raise AdversaryError(
+            f"equality pattern at position {positions[t]} not well-defined for "
+            f"variants ({a + 1}, {b + 1})"
+        )
+    return out
+
+
 def tile_distinguisher(lab: SearchLabeling, i: int) -> LabeledMatrix:
     """m x m 0/1 matrix: entry (a, b) is 1 iff instances (sigma1, a) and
     (sigma2, b) differ at position i for every pair sigma1 != sigma2.
@@ -151,41 +200,8 @@ def tile_distinguisher(lab: SearchLabeling, i: int) -> LabeledMatrix:
     Raises if the answer pairs disagree, which would mean ``lab`` is not a
     valid search labeling.
     """
-    p = lab.problem
-    if not 1 <= i <= p.length:
-        raise AdversaryError(f"position {i} out of range 1..{p.length}")
-    m = lab.variants
-    chars = np.array(
-        [[list(lab.instance_of[(sigma, j)]) for j in range(1, m + 1)]
-         for sigma in lab.answers],
-        dtype=np.uint8,
-    )  # (|Sigma|, m, length)
-    col = chars[:, :, i - 1]
-    out = None
-    for s1 in range(len(lab.answers)):
-        for s2 in range(len(lab.answers)):
-            if s1 == s2:
-                continue
-            diff = col[s1][:, None] != col[s2][None, :]
-            if out is None:
-                out = diff
-            elif not np.array_equal(out, diff):
-                a, b = map(int, np.argwhere(out != diff)[0])
-                raise AdversaryError(
-                    f"equality pattern at position {i} not well-defined for "
-                    f"variants ({a + 1}, {b + 1})"
-                )
-    return LabeledMatrix(int_labels(m), out.astype(np.float64), name=f"D^A_{i}")
-
-
-def interval_distinguisher(m: int, i: int) -> LabeledMatrix:
-    """Closed form of the HSOS tile distinguisher: 1 iff i lies weakly
-    between the two hidden-symbol positions.  Cross-checked against
-    ``tile_distinguisher`` in the tests; used for large sweeps."""
-    idx = np.arange(1, m + 1)
-    between = (idx[:, None] <= i) & (i <= idx[None, :])
-    ent = (between | between.T).astype(np.float64)
-    return LabeledMatrix(int_labels(m), ent, name=f"D^A_{i}")
+    mask = _position_masks(_labeling_chars(lab), [i])[0]
+    return LabeledMatrix(int_labels(lab.variants), mask.astype(np.float64), name=f"D^A_{i}")
 
 
 def uniform_from_tile(lab: SearchLabeling, t: Tile) -> AdversaryMatrix:
@@ -195,11 +211,12 @@ def uniform_from_tile(lab: SearchLabeling, t: Tile) -> AdversaryMatrix:
         raise AdversaryError("tile dimension does not match labeling variants")
     p = lab.problem
     pair_of = lab.pair_of
-    var = np.array([pair_of[s][1] - 1 for s in p.instances])
-    ans = [pair_of[s][0] for s in p.instances]
-    same = np.array([[a1 == a2 for a2 in ans] for a1 in ans])
+    pairs = [pair_of[s] for s in p.instances]
+    var = np.array([j - 1 for _, j in pairs])
+    ids: dict = {}
+    ans = np.array([ids.setdefault(a, len(ids)) for a, _ in pairs])
     ent = t.matrix.entries[np.ix_(var, var)].copy()
-    ent[same] = 0.0
+    ent[ans[:, None] == ans[None, :]] = 0.0
     mat = LabeledMatrix(p.instances, ent, name=f"uniform({t.matrix.name})")
     return AdversaryMatrix(matrix=mat, problem=p)
 
@@ -207,37 +224,26 @@ def uniform_from_tile(lab: SearchLabeling, t: Tile) -> AdversaryMatrix:
 def tile_of_uniform(g: AdversaryMatrix, lab: SearchLabeling) -> Tile:
     """Inverse of ``uniform_from_tile``; errors with a witness entry pair if
     ``g`` is not uniform with respect to ``lab``."""
-    p = g.problem
-    m = lab.variants
-    idx = {s: r for r, s in enumerate(p.instances)}
-    ent = g.matrix.entries
-    tile = np.zeros((m, m))
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            val = None
-            witness = None
-            for s1 in lab.answers:
-                for s2 in lab.answers:
-                    r1, r2 = idx[lab.instance_of[(s1, a)]], idx[lab.instance_of[(s2, b)]]
-                    e = ent[r1, r2]
-                    if s1 == s2:
-                        if e != 0.0:
-                            raise AdversaryError(
-                                f"nonzero same-answer entry at (({s1},{a}),({s2},{b}))"
-                            )
-                        continue
-                    if val is None:
-                        val, witness = e, (s1, a, s2, b)
-                    elif e != val:
-                        raise AdversaryError(
-                            f"not uniform: entry (({s1},{a}),({s2},{b}))={e} "
-                            f"differs from (({witness[0]},{witness[1]}),"
-                            f"({witness[2]},{witness[3]}))={val}"
-                        )
-            if val is not None:
-                tile[a - 1, b - 1] = val
-    mat = LabeledMatrix(int_labels(m), tile, name="tile")
-    return Tile(matrix=mat, labeling=lab)
+    m, ans = lab.variants, lab.answers
+    idx = {s: r for r, s in enumerate(g.problem.instances)}
+    order = [idx[lab.instance_of[(s, j)]] for s in ans for j in range(1, m + 1)]
+    # blk[a, b, s1, s2] is the entry at ((s1, a), (s2, b)); row-major order
+    # over it is the order in which witnesses are looked for
+    blk = g.matrix.entries[np.ix_(order, order)].reshape(
+        len(ans), m, len(ans), m).transpose(1, 3, 0, 2)
+    tile = blk[:, :, 0, 1].copy() if len(ans) > 1 else np.zeros((m, m))
+    bad = np.argwhere(np.where(np.eye(len(ans), dtype=bool), blk != 0.0,
+                               blk != tile[:, :, None, None]))
+    if len(bad):
+        a, b, s1, s2 = bad[0]
+        where = f"(({ans[s1]},{a + 1}),({ans[s2]},{b + 1}))"
+        if s1 == s2:
+            raise AdversaryError(f"nonzero same-answer entry at {where}")
+        raise AdversaryError(
+            f"not uniform: entry {where}={blk[a, b, s1, s2]} differs from "
+            f"(({ans[0]},{a + 1}),({ans[1]},{b + 1}))={tile[a, b]}"
+        )
+    return Tile(matrix=LabeledMatrix(int_labels(m), tile, name="tile"), labeling=lab)
 
 
 def os_adversary(m: int) -> AdversaryMatrix:
@@ -326,33 +332,38 @@ def composed_principal_vector(outer: AdversaryMatrix, tiles: Sequence[Tile],
     return out
 
 
-def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
-    """||Gamma o D_i||: the norm of ``g`` masked by its position-i distinguisher.
+def masked_norms(g: AdversaryMatrix | Tile, tol: float = 1e-9,
+                 positions: Sequence[int] | None = None,
+                 v0: np.ndarray | None = None) -> list[SpectralResult]:
+    """Power iteration of ``g o D_i`` at each position i (default: all), in
+    stacks of at most ``STACK_BYTES``.  Masks come from the char table of an
+    :class:`AdversaryMatrix`, or by :func:`tile_distinguisher`'s rule for a
+    :class:`Tile` (an invalid labeling raises).  ``v0``: one warm start per
+    position."""
+    chars = _labeling_chars(g.labeling) if isinstance(g, Tile) else g.problem.char_table()[None]
+    positions = list(range(1, chars.shape[-1] + 1) if positions is None else positions)
+    ent = g.matrix.entries
+    step = max(1, STACK_BYTES // (8 * max(len(ent), 1) ** 2))
+    out: list[SpectralResult] = []
+    for c in range(0, len(positions), step):
+        chunk = positions[c:c + step]
+        out += power_norms(ent * _position_masks(chars, chunk), tol=tol,
+                           v0=None if v0 is None else v0[c:c + step],
+                           names=[f"{g.matrix.name or 'Gamma'}∘D_{i}" for i in chunk])
+    return out
 
-    For a :class:`Tile`, ``D_i`` is :func:`tile_distinguisher` of its
-    labeling, so an invalid search labeling raises.
-    """
-    if isinstance(g, Tile):
-        mask = tile_distinguisher(g.labeling, i).entries
-    else:
-        if not 1 <= i <= g.problem.length:
-            raise AdversaryError(f"position {i} out of range 1..{g.problem.length}")
-        col = g.problem.char_table()[:, i - 1]
-        mask = col[:, None] != col[None, :]
-    return power_norm(g.matrix.entries * mask, tol=tol,
-                      name=f"{g.matrix.name or 'Gamma'}∘D_{i}").norm
+
+def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
+    """||Gamma o D_i||: the norm of ``g`` masked by its position-i distinguisher."""
+    return masked_norms(g, tol, [i])[0].norm
 
 
 def _max_masked_norm(g: AdversaryMatrix | Tile, tol: float) -> tuple[float, int]:
-    """Largest ||g o D_i|| over all positions, and the first position that
-    reaches it (0 when every product vanishes)."""
-    length = g.labeling.problem.length if isinstance(g, Tile) else g.problem.length
-    best, worst = 0.0, 0
-    for i in range(1, length + 1):
-        nrm = masked_norm(g, i, tol)
-        if nrm > best:
-            best, worst = nrm, i
-    return best, worst
+    """Largest ||g o D_i|| over all positions, and the first position within
+    ``TIE_RTOL`` of it (0 when every product vanishes)."""
+    norms = np.array([r.norm for r in masked_norms(g, tol)])
+    best = float(norms.max(initial=0.0))
+    return best, int(np.argmax(norms >= best * (1.0 - TIE_RTOL))) + 1 if best > 0.0 else 0
 
 
 def _bound_report(numerator: float, denominator: float, worst: int,
@@ -377,7 +388,7 @@ def sa_ratio(g: AdversaryMatrix, eps: float = 1.0 / 3.0,
              tol: float = 1e-9) -> BoundReport:
     """Evaluate ||Gamma|| / max_i ||Gamma o D_i|| for this candidate and the
     implied eps-error quantum query lower bound.  ``worst_position`` is the
-    first position that reaches the maximum."""
+    first position within ``TIE_RTOL`` of the maximum."""
     factor = error_factor(eps)
     numerator = spectral_norm(g.matrix, tol).norm
     denominator, worst = _max_masked_norm(g, tol)
@@ -393,8 +404,9 @@ def composed_sa_ratio(outer: AdversaryMatrix, tile: Tile, eps: float = 1.0 / 3.0
     for position i at offset q of block p,
     ||Gamma_h o D_i|| = ||Gamma_f o D_p|| * ||A o D_q|| * ||A||^(a-1).
     Every factor is nonnegative, so the maximum over (p, q) is the outer
-    maximum times the tile maximum, and the first position in order that
-    reaches it is (p* - 1) * b + q*, with b the tile's problem length.
+    maximum times the tile maximum.  The reported position is
+    (p* - 1) * b + q*, with p* and q* the worst outer and tile positions and
+    b the tile's problem length.
     """
     f = sa_ratio(outer, eps=eps, tol=tol)
     a = outer.problem.length

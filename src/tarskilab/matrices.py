@@ -18,7 +18,6 @@ converges to a nonnegative principal eigenvector.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -120,42 +119,59 @@ def int_labels(n: int) -> tuple[bytes, ...]:
 def power_norm(A: np.ndarray, tol: float = 1e-9, v0: np.ndarray | None = None,
                max_iterations: int | None = None, name: str = "") -> SpectralResult:
     """Power iteration on a raw float array (see :func:`spectral_norm`)."""
+    return power_norms(A[None], tol, v0, max_iterations, [name] if name else ())[0]
+
+
+def power_norms(S: np.ndarray, tol: float = 1e-9, v0: np.ndarray | None = None,
+                max_iterations: int | None = None,
+                names: Sequence[str] = ()) -> list[SpectralResult]:
+    """Power iteration on every slice of a ``(k, d, d)`` stack at once.
+
+    Each slice takes the steps :func:`spectral_norm` takes on it alone (same
+    stop rule, iteration count and cap) and drops out when it converges.
+    ``v0`` has one warm start per slice; ``names[j]`` names slice j in errors.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = A.shape[0]
-    if d == 0:
-        return SpectralResult(0.0, np.zeros(0), 0, 0.0)
+    k, d = S.shape[0], S.shape[-1]
     start = np.ones(d)
-    start[0] += 1e-6
-    if v0 is not None:
-        v = np.maximum(np.asarray(v0, dtype=np.float64), 0.0) + 1e-8 * start
-    else:
-        v = start
-    v /= math.sqrt(v.dot(v))
+    start[:1] += 1e-6
+    V = np.tile(start, (k, 1)) if v0 is None else (
+        np.maximum(np.asarray(v0, dtype=np.float64).reshape(k, d), 0.0) + 1e-8 * start)
+    V = V / np.sqrt(np.vecdot(V, V))[:, None]
     cap = max_iterations if max_iterations is not None else 100 * d
+    out: list = [None] * k
+    act = np.arange(k)  # stack index of each active slice
     it = 0
-    while True:
-        Mv = A @ v
-        lam = float(v @ Mv)
-        r = Mv - lam * v
-        residual = math.sqrt(r.dot(r))  # the bits of np.linalg.norm, without its overhead
-        if not residual > tol * max(lam, 1e-30):
-            break
-        if it >= cap:
+    while len(act):
+        MV = (S[0] @ V[0])[None] if len(S) == 1 else np.matmul(S, V[:, :, None])[:, :, 0]
+        lam = np.vecdot(V, MV)
+        R = MV - _per_row(lam) * V
+        res = np.sqrt(np.vecdot(R, R))
+        shift = np.maximum(lam, 1e-30)
+        going = res > tol * shift
+        if np.count_nonzero(going) < len(going):
+            for j in np.flatnonzero(~going):
+                out[act[j]] = SpectralResult(max(float(lam[j]), 0.0), V[j], it, float(res[j]))
+            S, V, MV, shift, res, act = (x[going] for x in (S, V, MV, shift, res, act))
+        if it >= cap and len(act):
+            name = names[act[0]] if act[0] < len(names) else f"{d}x{d} matrix"
             raise SpectralConvergenceError(
-                f"power iteration on {name or f'{d}x{d} matrix'} did not reach "
-                f"tol={tol:g} after {cap} iterations (residual {residual:.3e})"
+                f"power iteration on {name} did not reach "
+                f"tol={tol:g} after {cap} iterations (residual {res[0]:.3e})"
             )
         it += 1
         # Any positive shift keeps the Perron eigenvalue strictly dominant;
         # shifting by the current Rayleigh estimate also speeds up the
         # lam_min = -lam_max corner.
-        w = Mv + max(lam, 1e-30) * v
-        nw = math.sqrt(w.dot(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-    return SpectralResult(max(lam, 0.0), v, it, residual)
+        W = MV + _per_row(shift) * V
+        V = W / _per_row(np.sqrt(np.vecdot(W, W)))
+    return out
+
+
+def _per_row(x: np.ndarray):
+    """Per-slice factors as a column, or a plain scalar (much faster) for one."""
+    return x[0] if len(x) == 1 else x[:, None]
 
 
 def spectral_norm(M: LabeledMatrix, tol: float = 1e-9, v0: np.ndarray | None = None,

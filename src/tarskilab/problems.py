@@ -161,7 +161,7 @@ def make_hsos(m: int) -> QueryProblem:
     answer = {}
     for sym in (Sym.UP, Sym.DN, Sym.ST):
         for k in range(1, m + 1):
-            s = bytes([Sym.RT] * (k - 1) + [sym] + [Sym.LT] * (m - k))
+            s = bytes([Sym.RT]) * (k - 1) + bytes([sym]) + bytes([Sym.LT]) * (m - k)
             instances.append(s)
             answer[s] = sym
     return QueryProblem(

@@ -24,8 +24,7 @@ from .adversary import (
     denominator_identity_mismatches,
     hilbert_tile,
     hsos_labeling,
-    inverse_distance,
-    masked_norm,
+    masked_norms,
     os_adversary,
     sa_ratio,
     symmetrize,
@@ -129,12 +128,11 @@ def suite_hilbert(m_max: int = 64, tol: float = 1e-9, **_) -> SuiteReport:
     rep = SuiteReport(suite="hilbert")
     two_pi = 2.0 * math.pi
     harmonic = 0.0
-    vec_cache: dict = {}
+    avec = warm = None  # eigenvectors at m - 1 plus their last entry; position m starts cold
     for m in range(1, m_max + 1):
-        idx = np.arange(1, m + 1)
-        A = inverse_distance(m)
-        res = power_norm(A, tol=tol, v0=vec_cache.get("A"), name=f"A_{m}")
-        vec_cache["A"] = np.append(res.eigenvector, res.eigenvector[-1])
+        tile = hilbert_tile(m)
+        res = power_norm(tile.matrix.entries, tol=tol, v0=avec, name=f"A_{m}")
+        avec = np.append(res.eigenvector, res.eigenvector[-1])
         if m % 2 == 1:
             harmonic += 1.0 / ((m + 1) // 2)
         rep.check(
@@ -142,17 +140,15 @@ def suite_hilbert(m_max: int = 64, tol: float = 1e-9, **_) -> SuiteReport:
             res.norm >= harmonic - 1e-8,
             json.dumps({"m": m, "norm": res.norm, "harmonic": harmonic}),
         )
-        for i in range(1, m + 1):
-            between = (idx[:, None] <= i) & (i <= idx[None, :])
-            masked = A * (between | between.T)
-            ires = power_norm(masked, tol=tol, v0=vec_cache.get(i),
-                              name=f"A_{m}∘D_{i}")
-            vec_cache[i] = np.append(ires.eigenvector, ires.eigenvector[-1])
+        products = masked_norms(tile, tol, v0=warm)
+        for i, ires in enumerate(products, start=1):
             rep.check(
                 f"hilbert/m={m}/i={i}/product-below-2pi",
                 ires.norm <= two_pi + 1e-8,
                 json.dumps({"m": m, "i": i, "norm": ires.norm}),
             )
+        vecs = np.array([r.eigenvector for r in products])
+        warm = np.vstack([np.hstack([vecs, vecs[:, -1:]]), np.zeros(m + 1)])
     return rep.finish(t0)
 
 
@@ -176,17 +172,16 @@ def suite_symmetrize(m_max: int = 4, seed: int = 0, tol: float = 1e-9, **_) -> S
                 uniform_ok = False
                 why = str(exc)
             rep.check(f"{tag}/exactly-uniform", uniform_ok, why)
-            new_num = spectral_norm(sym.matrix, tol).norm
+            new = sa_ratio(sym, tol=tol)
             rep.check(
                 f"{tag}/numerator-not-smaller",
-                new_num >= base.numerator - 1e-6,
-                json.dumps({"before": base.numerator, "after": new_num}),
+                new.numerator >= base.numerator - 1e-6,
+                json.dumps({"before": base.numerator, "after": new.numerator}),
             )
-            new_den = sa_ratio(sym, tol=tol).denominator
             rep.check(
                 f"{tag}/denominator-not-larger",
-                new_den <= base.denominator * (1.0 + 1e-6),
-                json.dumps({"before": base.denominator, "after": new_den}),
+                new.denominator <= base.denominator * (1.0 + 1e-6),
+                json.dumps({"before": base.denominator, "after": new.denominator}),
             )
     return rep.finish(t0)
 
@@ -219,12 +214,11 @@ def suite_composition(a: int = 3, b: int = 3, seed: int = 0, tol: float = 1e-9,
         json.dumps({"residual": resid}),
     )
 
-    fden = {p: masked_norm(outer, p, tol) for p in range(1, a + 1)}
-    aden = {q: masked_norm(tiles[0], q, tol) for q in range(1, b + 1)}
+    fden, aden, hden = ({i: r.norm for i, r in enumerate(masked_norms(g, tol), start=1)}
+                        for g in (outer, tiles[0], gam))
     worst = 0.0
-    for i in range(1, h.length + 1):
+    for i, lhs in hden.items():
         p, q = h.block_of_position(i)
-        lhs = masked_norm(gam, i, tol)
         rhs = fden[p] * aden[q] * anorm ** (a - 1)
         rep.check(
             f"composition/a={a}/b={b}/pos={i}/denominator-norm-identity",

@@ -22,7 +22,6 @@ from tarskilab import (
     denominator_identity_mismatches,
     hilbert_tile,
     hsos_labeling,
-    interval_distinguisher,
     masked_norm,
     nested_solve,
     os_adversary,
@@ -60,7 +59,8 @@ def test_criterion_01_hilbert_bounds():
         idx = np.arange(1, m + 1)
         A = 1.0 / (np.abs(idx[:, None] - idx[None, :]) + 1)
         i = int(rng.integers(1, m + 1))
-        masked = A * interval_distinguisher(int(m), i).entries
+        between = (idx[:, None] <= i) & (i <= idx[None, :])  # the HSOS distinguisher
+        masked = A * (between | between.T)
         assert power_norm(masked).norm == pytest.approx(
             np.linalg.eigvalsh(masked)[-1], rel=1e-8
         )

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
+import tarskilab.adversary as adv
 from tarskilab import (
     AdversaryError,
     AdversaryMatrix,
     LabeledMatrix,
+    SpectralConvergenceError,
     Tile,
     compose_adversary,
     composed_principal_vector,
@@ -21,9 +24,9 @@ from tarskilab import (
     hilbert_tile,
     hsos_labeling,
     int_labels,
-    interval_distinguisher,
     make_os,
     masked_norm,
+    masked_norms,
     os_adversary,
     sa_ratio,
     spectral_norm,
@@ -33,6 +36,14 @@ from tarskilab import (
     uniform_from_tile,
 )
 from tarskilab.suites import random_adversary
+
+
+def interval_rule(m, i):
+    """Closed form of the HSOS tile distinguisher: 1 iff i lies weakly
+    between the two hidden-symbol positions."""
+    idx = np.arange(1, m + 1)
+    between = (idx[:, None] <= i) & (i <= idx[None, :])
+    return (between | between.T).astype(np.float64)
 
 
 def test_hilbert_tile_entries():
@@ -63,7 +74,7 @@ def test_tile_distinguisher_matches_interval_rule(m):
     lab = hsos_labeling(m)
     for i in range(1, m + 1):
         assert np.array_equal(
-            tile_distinguisher(lab, i).entries, interval_distinguisher(m, i).entries
+            tile_distinguisher(lab, i).entries, interval_rule(m, i)
         )
 
 
@@ -110,7 +121,7 @@ def test_tile_of_uniform_roundtrip_and_ratio_identity():
     tile_ratios = [
         tnorm / spectral_norm(
             LabeledMatrix(int_labels(m),
-                          t.matrix.to_float() * interval_distinguisher(m, i).entries)
+                          t.matrix.to_float() * interval_rule(m, i))
         ).norm
         for i in range(1, m + 1)
     ]
@@ -171,7 +182,7 @@ def test_sa_ratio_zero_denominator_errors():
 def test_hilbert_tile_ratio_closed_form():
     t = hilbert_tile(2)
     tnorm = spectral_norm(t.matrix).norm
-    d1 = t.matrix.to_float() * interval_distinguisher(2, 1).entries
+    d1 = t.matrix.to_float() * interval_rule(2, 1)
     dnorm = np.linalg.eigvalsh(d1)[-1]
     assert dnorm == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-12)
     assert tnorm / dnorm == pytest.approx(1.2426, abs=1e-4)
@@ -385,3 +396,163 @@ def test_symmetrize_alphabet_cap():
     )
     with pytest.raises(AdversaryError, match="6"):
         symmetrize(g, big)
+
+
+# ---------------------------------------------------------------------------
+# stacked masks and witnesses against per-position loop references
+# ---------------------------------------------------------------------------
+
+
+def loop_tile_of_uniform(ent, instances, lab):
+    """The per-entry scan ``tile_of_uniform`` replaced: the same witnesses,
+    found in the same order."""
+    idx = {s: r for r, s in enumerate(instances)}
+    m = lab.variants
+    tile = np.zeros((m, m))
+    for a in range(1, m + 1):
+        for b in range(1, m + 1):
+            val = witness = None
+            for s1 in lab.answers:
+                for s2 in lab.answers:
+                    e = ent[idx[lab.instance_of[(s1, a)]], idx[lab.instance_of[(s2, b)]]]
+                    if s1 == s2:
+                        if e != 0.0:
+                            raise AdversaryError(
+                                f"nonzero same-answer entry at (({s1},{a}),({s2},{b}))")
+                        continue
+                    if val is None:
+                        val, witness = e, (s1, a, s2, b)
+                    elif e != val:
+                        raise AdversaryError(
+                            f"not uniform: entry (({s1},{a}),({s2},{b}))={e} "
+                            f"differs from (({witness[0]},{witness[1]}),"
+                            f"({witness[2]},{witness[3]}))={val}")
+            if val is not None:
+                tile[a - 1, b - 1] = val
+    return tile
+
+
+def unchecked(problem, ent):
+    """An adversary-matrix stand-in that skips validation, so that single
+    entries can be broken (asymmetric or on a same-answer pair)."""
+    return types.SimpleNamespace(problem=problem, matrix=types.SimpleNamespace(entries=ent))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_tile_of_uniform_witnesses_match_loop_reference(m):
+    lab = hsos_labeling(m)
+    g = uniform_from_tile(lab, hilbert_tile(m))
+    assert np.array_equal(tile_of_uniform(g, lab).matrix.entries,
+                          loop_tile_of_uniform(g.matrix.entries, g.problem.instances, lab))
+    d = g.dim
+    for r, c in itertools.product(range(d), repeat=2):
+        ent = g.matrix.to_float()
+        ent[r, c] += 0.25  # one entry off: a same-answer pair or a broken tile
+        with pytest.raises(AdversaryError) as want:
+            loop_tile_of_uniform(ent, g.problem.instances, lab)
+        with pytest.raises(AdversaryError) as got:
+            tile_of_uniform(unchecked(g.problem, ent), lab)
+        assert str(got.value) == str(want.value), (r, c)
+
+
+def test_tile_of_uniform_first_witness_in_scan_order():
+    lab = hsos_labeling(3)
+    g = uniform_from_tile(lab, hilbert_tile(3))
+    idx = {s: r for r, s in enumerate(g.problem.instances)}
+    up, dn, st = lab.answers
+    ent = g.matrix.to_float()
+    # a late same-answer nonzero and an earlier off-diagonal change
+    ent[idx[lab.instance_of[(st, 3)]], idx[lab.instance_of[(st, 3)]]] = 1.0
+    ent[idx[lab.instance_of[(dn, 2)]], idx[lab.instance_of[(st, 1)]]] = 0.125
+    with pytest.raises(AdversaryError) as want:
+        loop_tile_of_uniform(ent, g.problem.instances, lab)
+    with pytest.raises(AdversaryError, match="not uniform") as got:
+        tile_of_uniform(unchecked(g.problem, ent), lab)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_masks_equal_per_position_masks():
+    rng = np.random.default_rng(7)
+    adversaries = [os_adversary(m) for m in range(2, 41)]
+    adversaries += [uniform_from_tile(hsos_labeling(m), hilbert_tile(m)) for m in range(1, 9)]
+    adversaries += [random_adversary(p, rng) for p in (make_os(5), hsos_labeling(3).problem)]
+    adversaries.append(compose_adversary(os_adversary(2), [hilbert_tile(2)] * 2))
+    for g in adversaries:
+        p = g.problem
+        stacked = adv._position_masks(p.char_table()[None], range(1, p.length + 1))
+        for i in range(1, p.length + 1):
+            assert np.array_equal(stacked[i - 1], distinguisher(p, i).entries != 0), (p.size, i)
+    for m in range(1, 9):
+        lab = hilbert_tile(m).labeling
+        stacked = adv._position_masks(adv._labeling_chars(lab), range(1, m + 1))
+        for i in range(1, m + 1):
+            assert np.array_equal(stacked[i - 1], interval_rule(m, i) != 0), (m, i)
+
+
+def loop_tile_distinguisher(lab, i):
+    """The per-position pair loop ``tile_distinguisher`` replaced."""
+    m = lab.variants
+    chars = np.array([[list(lab.instance_of[(s, j)]) for j in range(1, m + 1)]
+                      for s in lab.answers], dtype=np.uint8)
+    col = chars[:, :, i - 1]
+    out = None
+    for s1, s2 in itertools.permutations(range(len(lab.answers)), 2):
+        diff = col[s1][:, None] != col[s2][None, :]
+        if out is None:
+            out = diff
+        elif not np.array_equal(out, diff):
+            a, b = map(int, np.argwhere(out != diff)[0])
+            raise AdversaryError(f"equality pattern at position {i} not well-defined for "
+                                 f"variants ({a + 1}, {b + 1})")
+    return out
+
+
+def test_invalid_labeling_reports_the_loop_witness():
+    lab = hsos_labeling(4)
+    for j1, j2 in ((1, 2), (2, 4), (3, 4)):
+        swapped = dict(lab.instance_of)
+        k1, k2 = (lab.answers[1], j1), (lab.answers[1], j2)
+        swapped[k1], swapped[k2] = lab.instance_of[k2], lab.instance_of[k1]
+        bad = Tile(matrix=hilbert_tile(4).matrix,
+                   labeling=lab.__class__(problem=lab.problem, variants=4,
+                                          answers=lab.answers, instance_of=swapped))
+        first = None
+        for i in range(1, 5):
+            try:
+                loop_tile_distinguisher(bad.labeling, i)
+            except AdversaryError as exc:
+                first = first or str(exc)
+                with pytest.raises(AdversaryError) as got:
+                    tile_distinguisher(bad.labeling, i)
+                assert str(got.value) == str(exc)
+        assert first is not None
+        with pytest.raises(AdversaryError) as got:
+            masked_norms(bad)
+        assert str(got.value) == first
+
+
+def test_masked_norms_match_single_positions():
+    rng = np.random.default_rng(11)
+    for g in (os_adversary(9), hilbert_tile(7), random_adversary(hsos_labeling(3).problem, rng)):
+        stacked = masked_norms(g)
+        assert len(stacked) == (g.labeling if isinstance(g, Tile) else g).problem.length
+        for i, res in enumerate(stacked, start=1):
+            assert res.norm == masked_norm(g, i)
+
+
+def test_masked_norms_cap_error_names_the_position():
+    with pytest.raises(SpectralConvergenceError, match="Gamma_OS_4∘D_1 did not reach"):
+        masked_norms(os_adversary(4), tol=1e-300)
+    with pytest.raises(SpectralConvergenceError, match="A_3∘D_2 did not reach"):
+        masked_norms(hilbert_tile(3), tol=1e-300, positions=[2])
+
+
+def test_worst_position_is_the_smaller_mirror_index():
+    # position i and m+1-i give the same norm up to rounding; the tie rule
+    # names the first one
+    for m in range(2, 65):
+        w = sa_ratio(os_adversary(m)).worst_position
+        assert 1 <= w <= m + 1 - w, (m, w)
+    for m in range(1, 33):
+        w = sa_ratio(uniform_from_tile(hsos_labeling(m), hilbert_tile(m))).worst_position
+        assert 1 <= w <= m + 1 - w, (m, w)

@@ -14,10 +14,12 @@ from tarskilab import (
     SpectralConvergenceError,
     hadamard,
     int_labels,
+    power_norm,
     rayleigh_quotient,
     spectral_norm,
     tensor,
 )
+from tarskilab.matrices import power_norms
 
 H2 = LabeledMatrix.from_rows(int_labels(2), [[1, 1 / 2], [1 / 2, 1]], name="A_2")
 
@@ -188,3 +190,67 @@ def test_json_rejects_non_numbers(entry):
     text = json.dumps({"dim": 1, "labels": ["1"], "entries": [[entry]]})
     with pytest.raises(MatrixError, match=r"entry \(0, 0\)"):
         LabeledMatrix.from_json(text)
+
+
+def scalar_power_norm(A, tol=1e-9):
+    """One slice by the scalar loop the stacked kernel replaced: norm and
+    iteration count."""
+    d = A.shape[0]
+    v = np.ones(d)
+    v[0] += 1e-6
+    v /= math.sqrt(v.dot(v))
+    it = 0
+    while True:
+        Mv = A @ v
+        lam = float(v @ Mv)
+        r = Mv - lam * v
+        if not math.sqrt(r.dot(r)) > tol * max(lam, 1e-30):
+            return max(lam, 0.0), it
+        it += 1
+        w = Mv + max(lam, 1e-30) * v
+        v = w / math.sqrt(w.dot(w))
+
+
+def random_stack(rng, k, d):
+    """Nonnegative symmetric slices: dense, sparse and reducible ones with
+    zero rows, and an all-zero slice."""
+    raw = rng.random((k, d, d)) * (rng.random((k, d, d)) < rng.random((k, 1, 1)))
+    S = raw + raw.transpose(0, 2, 1)
+    for j in range(0, k, 3):
+        dead = rng.random(d) < 0.3  # zero rows and columns
+        S[j, dead, :] = S[j, :, dead] = 0.0
+    S[k // 2] = 0.0
+    return S
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 40])
+def test_stacked_power_norms_match_single_slices(d):
+    rng = np.random.default_rng(d)
+    S = random_stack(rng, 9, d)
+    stacked = power_norms(S, tol=1e-10)
+    for A, res in zip(S, stacked):
+        single = power_norm(A, tol=1e-10)
+        ref_norm, ref_iters = scalar_power_norm(A, tol=1e-10)
+        assert res.iterations == single.iterations == ref_iters
+        for other in (single.norm, ref_norm):
+            assert abs(res.norm - other) <= 1e-13 * max(other, 1e-300)
+        assert res.norm == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-8, abs=1e-12)
+    assert stacked[4].norm == 0.0 and stacked[4].iterations == 0
+
+
+def test_stacked_power_norms_warm_starts_and_cold_rows():
+    rng = np.random.default_rng(5)
+    S = random_stack(rng, 4, 12)
+    cold = power_norms(S)
+    warm = power_norms(S, v0=np.array([r.eigenvector for r in cold]))
+    for w, c in zip(warm, cold):
+        assert w.iterations <= c.iterations and w.norm == pytest.approx(c.norm, rel=1e-8)
+    zero_row = power_norms(S, v0=np.zeros((4, 12)))  # a zero row starts cold
+    assert [r.iterations for r in zero_row] == [r.iterations for r in cold]
+
+
+def test_stacked_cap_error_names_the_unconverged_slice():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SpectralConvergenceError, match="on second did not reach"):
+        power_norms(np.stack([np.zeros((2, 2)), swap]), tol=1e-12, max_iterations=0,
+                    names=["first", "second"])
