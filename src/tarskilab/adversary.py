@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +53,8 @@ logger = logging.getLogger(__name__)
 # Bytes of masked matrices per power-iteration stack: from d = 257 on each
 # position runs alone, which keeps it hot in L2 and peak memory flat.
 STACK_BYTES = 1 << 20
-# Mirror positions tie up to rounding: the worst position reported is the
-# first one within this relative distance of the maximum.
+# Mirror positions that masked_norms does not pair (in a composed matrix, say)
+# tie up to rounding: the worst position is the first one this close to the max.
 TIE_RTOL = 1e-12
 
 
@@ -339,18 +339,39 @@ def masked_norms(g: AdversaryMatrix | Tile, tol: float = 1e-9,
     stacks of at most ``STACK_BYTES``.  Masks come from the char table of an
     :class:`AdversaryMatrix`, or by :func:`tile_distinguisher`'s rule for a
     :class:`Tile` (an invalid labeling raises).  ``v0``: one warm start per
-    position."""
+    position, read only at the positions iterated.  Mirror pairs: where index
+    reversal maps the entries to themselves and D_{L+1-i} to D_i exactly, a
+    position i > L+1-i takes its partner's result, eigenvector reversed."""
     chars = _labeling_chars(g.labeling) if isinstance(g, Tile) else g.problem.char_table()[None]
-    positions = list(range(1, chars.shape[-1] + 1) if positions is None else positions)
+    length = chars.shape[-1]
+    positions = list(range(1, length + 1) if positions is None else positions)
     ent = g.matrix.entries
+    # flipped chars give, at i, the position-(L+1-i) mask reversed
+    flip = chars[:, ::-1, ::-1] if np.array_equal(ent, ent[::-1, ::-1]) else None
     step = max(1, STACK_BYTES // (8 * max(len(ent), 1) ** 2))
-    out: list[SpectralResult] = []
+    keys: list[int] = []  # per requested position, the position iterated for it
+    todo: list = []  # (position, mask, warm start) queued for the next stack
+    done: dict[int, SpectralResult] = {}
     for c in range(0, len(positions), step):
         chunk = positions[c:c + step]
-        out += power_norms(ent * _position_masks(chars, chunk), tol=tol,
-                           v0=None if v0 is None else v0[c:c + step],
-                           names=[f"{g.matrix.name or 'Gamma'}∘D_{i}" for i in chunk])
-    return out
+        masks = _position_masks(chars, chunk)  # validates in position order
+        if flip is not None:
+            fc = flip[:, :, np.asarray(chunk, dtype=np.intp) - 1].transpose(0, 2, 1)
+            mirror = (masks == (fc[0][:, :, None] != fc[-1][:, None, :])).all(axis=(1, 2))
+        for t, i in enumerate(chunk):
+            flipped = flip is not None and 2 * i > length + 1 and bool(mirror[t])
+            key, s = (length + 1 - i, -1) if flipped else (i, 1)
+            if key not in keys:
+                todo.append((key, masks[t, ::s, ::s], None if v0 is None else v0[c + t][::s]))
+            keys.append(key)
+        while len(todo) >= step or (todo and c + step >= len(positions)):
+            run, todo = todo[:step], todo[step:]
+            done.update(zip([k for k, _, _ in run], power_norms(
+                ent * np.stack([m for _, m, _ in run]), tol=tol,
+                v0=None if v0 is None else np.stack([w for _, _, w in run]),
+                names=[f"{g.matrix.name or 'Gamma'}∘D_{k}" for k, _, _ in run])))
+    return [done[k] if k == i else replace(done[k], eigenvector=done[k].eigenvector[::-1])
+            for i, k in zip(positions, keys)]
 
 
 def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
@@ -384,15 +405,19 @@ def _bound_report(numerator: float, denominator: float, worst: int,
     )
 
 
-def sa_ratio(g: AdversaryMatrix, eps: float = 1.0 / 3.0,
+def sa_ratio(g: AdversaryMatrix | Tile, eps: float = 1.0 / 3.0,
              tol: float = 1e-9) -> BoundReport:
     """Evaluate ||Gamma|| / max_i ||Gamma o D_i|| for this candidate and the
     implied eps-error quantum query lower bound.  ``worst_position`` is the
-    first position within ``TIE_RTOL`` of the maximum."""
+    first position within ``TIE_RTOL`` of the maximum.  A :class:`Tile` A gives
+    the ratio of its uniform expansion P((J-I) (x) A)P^T, masked by
+    P((J-I) (x) (A o D^A_i))P^T: rho((J-I) (x) B) = (|Sigma|-1) rho(B) for
+    nonnegative symmetric B, so both norms are (|Sigma|-1) times the tile's."""
     factor = error_factor(eps)
+    k = len(g.labeling.answers) - 1 if isinstance(g, Tile) else 1
     numerator = spectral_norm(g.matrix, tol).norm
     denominator, worst = _max_masked_norm(g, tol)
-    return _bound_report(numerator, denominator, worst, eps, factor)
+    return _bound_report(k * numerator, k * denominator, worst, eps, factor)
 
 
 def composed_sa_ratio(outer: AdversaryMatrix, tile: Tile, eps: float = 1.0 / 3.0,
@@ -406,16 +431,24 @@ def composed_sa_ratio(outer: AdversaryMatrix, tile: Tile, eps: float = 1.0 / 3.0
     Every factor is nonnegative, so the maximum over (p, q) is the outer
     maximum times the tile maximum.  The reported position is
     (p* - 1) * b + q*, with p* and q* the worst outer and tile positions and
-    b the tile's problem length.
+    b the tile's problem length.  A numerator beyond the float64 range raises
+    :class:`AdversaryError`.
     """
-    f = sa_ratio(outer, eps=eps, tol=tol)
+    factor = error_factor(eps)
     a = outer.problem.length
     b = tile.labeling.problem.length
     anorm = spectral_norm(tile.matrix, tol).norm
+    try:
+        numerator = spectral_norm(outer.matrix, tol).norm * anorm ** a
+    except OverflowError:
+        numerator = math.inf
+    if not math.isfinite(numerator):
+        raise AdversaryError(f"numerator ||{outer.matrix.name}|| * ||{tile.matrix.name}||^{a} "
+                             "exceeds the float64 range")
+    fden, p_worst = _max_masked_norm(outer, tol)
     aden, q_worst = _max_masked_norm(tile, tol)
-    return _bound_report(f.numerator * anorm ** a,
-                         f.denominator * aden * anorm ** (a - 1),
-                         (f.worst_position - 1) * b + q_worst, eps, error_factor(eps))
+    return _bound_report(numerator, fden * aden * anorm ** (a - 1),
+                         (p_worst - 1) * b + q_worst, eps, factor)
 
 
 def symmetrize(g: AdversaryMatrix, lab: SearchLabeling,

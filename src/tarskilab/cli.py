@@ -27,7 +27,6 @@ from .adversary import (
     compose_adversary,
     composed_sa_ratio,
     hilbert_tile,
-    hsos_labeling,
     os_adversary,
     sa_ratio,
     uniform_from_tile,
@@ -131,10 +130,11 @@ def _bound_row(problem: str, size, eps: float, tol: float,
         label = str(size)
         report = sa_ratio(adv, eps=eps, tol=tol)
     elif problem == "hsos":
-        lab = hsos_labeling(size)
-        adv = uniform_from_tile(lab, hilbert_tile(size))
+        # Rows come from the tile; the uniform matrix is built only to dump it.
+        tile = hilbert_tile(size)
         label = str(size)
-        report = sa_ratio(adv, eps=eps, tol=tol)
+        report = sa_ratio(tile, eps=eps, tol=tol)
+        adv = uniform_from_tile(tile.labeling, tile) if dump_dir is not None else None
     elif problem in ("nos", "tarski"):
         if problem == "nos":
             a, b = size

@@ -12,7 +12,10 @@ from tarskilab import (
     AdversaryError,
     AdversaryMatrix,
     LabeledMatrix,
+    QueryProblem,
+    SearchLabeling,
     SpectralConvergenceError,
+    Sym,
     Tile,
     compose_adversary,
     composed_principal_vector,
@@ -28,6 +31,7 @@ from tarskilab import (
     masked_norm,
     masked_norms,
     os_adversary,
+    power_norm,
     sa_ratio,
     spectral_norm,
     symmetrize,
@@ -556,3 +560,87 @@ def test_worst_position_is_the_smaller_mirror_index():
     for m in range(1, 33):
         w = sa_ratio(uniform_from_tile(hsos_labeling(m), hilbert_tile(m))).worst_position
         assert 1 <= w <= m + 1 - w, (m, w)
+
+
+# ---------------------------------------------------------------------------
+# tile-level uniform ratios and mirror pairs
+# ---------------------------------------------------------------------------
+
+
+def assert_same_report(fast, dense):
+    for key in ("numerator", "denominator", "sa_value", "query_lower_bound"):
+        assert getattr(fast, key) == pytest.approx(getattr(dense, key), rel=1e-12), key
+    assert fast.worst_position == dense.worst_position
+
+
+def test_tile_ratio_equals_ratio_of_uniform_expansion():
+    tiles = [hilbert_tile(m) for m in range(1, 33)]
+    lab = hsos_labeling(4)
+    ent = np.random.default_rng(5).random((4, 4))
+    tiles.append(Tile(matrix=LabeledMatrix(int_labels(4), ent + ent.T), labeling=lab))
+    rng = np.random.default_rng(0)
+    for m in range(1, 7):  # the trials of suite_symmetrize
+        lab = hsos_labeling(m)
+        for _ in range(3):
+            sym = symmetrize(random_adversary(lab.problem, rng), lab)
+            tiles.append(tile_of_uniform(sym, lab))
+    for t in tiles:
+        assert_same_report(sa_ratio(t, eps=0.2), sa_ratio(uniform_from_tile(t.labeling, t), eps=0.2))
+
+
+def test_tile_ratio_with_one_answer_raises_like_dense():
+    m = 3
+    up = {(Sym.UP, j): bytes([Sym.RT] * (j - 1) + [Sym.UP] + [Sym.LT] * (m - j))
+          for j in range(1, m + 1)}
+    p = QueryProblem(input_alphabet=(Sym.UP, Sym.LT, Sym.RT), output_alphabet=(Sym.UP,),
+                     length=m, instances=tuple(up.values()),
+                     answer={s: Sym.UP for s in up.values()})
+    lab = SearchLabeling(problem=p, variants=m, answers=(Sym.UP,), instance_of=up)
+    t = Tile(matrix=hilbert_tile(m).matrix, labeling=lab)
+    with pytest.raises(AdversaryError) as dense:
+        sa_ratio(uniform_from_tile(lab, t))
+    with pytest.raises(AdversaryError) as tile:
+        sa_ratio(t)
+    assert str(tile.value) == str(dense.value)
+
+
+def explicit_masked_norms(g):
+    """Every position's norm from its explicitly masked matrix, one at a time."""
+    if isinstance(g, Tile):
+        m = g.labeling.variants
+        masks = [interval_rule(m, i) for i in range(1, g.labeling.problem.length + 1)]
+    else:
+        masks = [distinguisher(g.problem, i).entries for i in range(1, g.problem.length + 1)]
+    return [power_norm(g.matrix.entries * d).norm for d in masks]
+
+
+def test_mirror_pairs_match_explicit_masked_norms():
+    adversaries = [os_adversary(m) for m in range(2, 65)]
+    adversaries += [hilbert_tile(m) for m in range(1, 65)]
+    adversaries += [uniform_from_tile(hsos_labeling(m), hilbert_tile(m)) for m in range(1, 17)]
+    for g in adversaries:
+        got = masked_norms(g)
+        for i, (res, want) in enumerate(zip(got, explicit_masked_norms(g)), start=1):
+            assert res.norm == pytest.approx(want, rel=1e-13), (g.matrix.name, i)
+        if not isinstance(g, AdversaryMatrix) or g.problem.size == g.problem.length:
+            # os and the tiles are reversal-symmetric: each pair is one iteration
+            for i, res in enumerate(got[:len(got) // 2], start=1):
+                partner = got[len(got) - i]
+                assert res.norm == partner.norm and res.iterations == partner.iterations
+                assert np.array_equal(res.eigenvector, partner.eigenvector[::-1])
+
+
+def test_mirror_is_not_used_where_a_mask_breaks_it():
+    g = os_adversary(9)
+    table = g.problem.char_table().copy()
+    table[8, 6] = table[0, 6]  # instance 9 now agrees with instance 1 at position 7
+    stand_in = types.SimpleNamespace(
+        problem=types.SimpleNamespace(char_table=lambda: table), matrix=g.matrix)
+    got = masked_norms(stand_in)
+    want = [power_norm(g.matrix.entries * (table[:, i, None] != table[None, :, i])).norm
+            for i in range(9)]
+    for i in range(9):
+        assert got[i].norm == pytest.approx(want[i], rel=1e-13), i + 1
+    # reusing position 3 for position 7 would have been wrong
+    assert abs(want[6] - want[2]) > 1e-3 * want[2]
+    assert got[3].norm == got[5].norm  # the intact pairs still share

@@ -14,9 +14,11 @@ from tarskilab import (
     LabeledMatrix,
     compose_adversary,
     hilbert_tile,
+    hsos_labeling,
     masked_norm,
     os_adversary,
     spectral_norm,
+    uniform_from_tile,
 )
 from tarskilab.cli import main
 
@@ -214,6 +216,26 @@ def test_bound_dump_matrix(tmp_path):
     dense = compose_adversary(os_adversary(2), [hilbert_tile(2)] * 2).matrix
     assert nos.labels == dense.labels
     assert np.array_equal(nos.entries, dense.entries)
+
+
+def test_bound_hsos_dump_is_the_uniform_matrix(tmp_path):
+    # hsos rows come from the tile; the dump is still the full uniform matrix
+    dump = tmp_path / "dumps"
+    assert run(["bound", "--problem", "hsos", "--sizes", "3",
+                "--out", str(tmp_path / "h.csv"), "--dump-matrix", str(dump)]) == 0
+    got = LabeledMatrix.from_json((dump / "gamma_hsos_3.json").read_text())
+    want = uniform_from_tile(hsos_labeling(3), hilbert_tile(3)).matrix
+    assert got.labels == want.labels
+    assert np.array_equal(got.entries, want.entries)
+
+
+def test_bound_tarski_beyond_float_range_is_a_usage_error(capsys):
+    # ||A_310||^311 exceeds the float64 maximum
+    assert run(["bound", "--problem", "tarski", "--sizes", "310"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "||A_310||^311 exceeds the float64 range" in captured.err
 
 
 @pytest.mark.parametrize("n", ["1", "0"])
