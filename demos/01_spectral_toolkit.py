@@ -5,14 +5,7 @@ Run:  python demos/01_spectral_toolkit.py
 
 import numpy as np
 
-from tarskilab import (
-    LabeledMatrix,
-    hadamard,
-    int_labels,
-    rayleigh_quotient,
-    spectral_norm,
-    tensor,
-)
+from tarskilab import LabeledMatrix, int_labels, power_norm, spectral_norm
 
 # Matrices carry labels naming the problem instance behind each row.  Entries
 # are float64; the inverse-distance weights 1/k are correctly rounded.
@@ -33,19 +26,17 @@ print(f"norm {res.norm:.12f} after {res.iterations} iterations "
 print("dense eigendecomposition agrees:",
       np.isclose(res.norm, np.linalg.eigvalsh(A.to_float())[-1]))
 
-# The all-ones Rayleigh quotient is the cheap lower bound used all over the
-# bound computations.
-print("all-ones Rayleigh lower bound:", rayleigh_quotient(A, np.ones(3)))
+# Any probe vector's Rayleigh quotient x.Ax / x.x is a lower bound on the
+# norm; the all-ones vector is the cheapest one.
+x = np.ones(3)
+print("all-ones Rayleigh lower bound:", x @ A.entries @ x / (x @ x))
 
-# Hadamard products implement "mask by a distinguisher"; tensor products
-# implement block composition.  Norms multiply across tensor factors.
-mask = LabeledMatrix.from_rows(int_labels(3), [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
-                               name="band mask")
-masked = hadamard(A, mask)
-print("masked norm:", spectral_norm(masked).norm)
+# Masking by a distinguisher is the elementwise product of the entries; block
+# composition is built on the Kronecker product, and norms multiply across
+# Kronecker factors.  Both are plain numpy on the read-only entries.
+mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+print("masked norm:", power_norm(A.entries * mask).norm)
 
-B = LabeledMatrix.from_rows((b"x", b"y"), [[0, 1], [1, 0]], name="swap")
-prod = tensor(B, A)
-print("tensor labels:", [lb.decode("latin-1") for lb in prod.labels])
+swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 print("norm multiplies:",
-      spectral_norm(prod).norm, "=", spectral_norm(B).norm * res.norm)
+      power_norm(np.kron(swap, A.entries)).norm, "=", power_norm(swap).norm * res.norm)

@@ -13,12 +13,9 @@ from .matrices import (
     MatrixError,
     SpectralConvergenceError,
     SpectralResult,
-    hadamard,
     int_labels,
     power_norm,
-    rayleigh_quotient,
     spectral_norm,
-    tensor,
 )
 from .problems import (
     ComposedProblem,
@@ -69,7 +66,6 @@ from .lattice import (
 )
 from .geometry import (
     GeometryError,
-    GridLine,
     Spine,
     SpineGeometry,
     ThresholdQuad,
@@ -83,7 +79,6 @@ from .geometry import (
     line_point,
     nos_correspondence,
     region_anchor,
-    round_half_up,
     tarski_family,
     thresholds,
 )

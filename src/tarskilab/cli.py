@@ -48,9 +48,10 @@ class UsageError(ValueError):
 
 
 def _parse_eps(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise UsageError(f"bad --eps {text!r}: zero denominator") from None
 
 
 def _parse_c_vector(text: str) -> tuple[int, ...]:
@@ -66,17 +67,18 @@ def _instance_filename(n: int, C, i: int) -> str:
 
 def cmd_gen(args) -> int:
     geo = build_geometry(args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if (args.C is None) != (args.i is None):
         raise UsageError("--C and --i must be given together")
     if args.C is not None:
         params = [(_parse_c_vector(args.C), args.i)]
     else:
         params = list(family_parameters(geo))
+    out = Path(args.out)
     written = 0
     for C, i in params:
         fn = build_instance(geo, C, i)  # validates C and i ranges
+        if not written:  # only once the arguments are known to be valid
+            out.mkdir(parents=True, exist_ok=True)
         name = _instance_filename(args.n, C, i)
         (out / name).write_text(fn.to_json())
         sidecar = {"n": args.n, "C": list(C), "i": i}

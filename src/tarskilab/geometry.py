@@ -6,11 +6,12 @@ B^c at coordinate sums c = 2(n-1)t + n + 1; the j-th point of such a set is
 ((n-1)t + j, (n-1)t + n + 1 - j), indexed by increasing x.
 
 A *grid line* is the discrete analogue of a Euclidean segment between
-comparable points: exact rational interpolation of the x-coordinate per
-coordinate sum, rounded half-up.  A *chunked spine* following a vector
-C in [n]^(n+1) splices grid lines so that the spine crosses the i-th chunk
-boundary exactly at its C_i-th point; inside chunk i it climbs a diagonal at
-index C_i, switches to index C_(i+1) inside region C_i + 1, and climbs out.
+comparable points: per coordinate sum, the x-coordinate interpolated linearly
+between the endpoints and rounded half-up.  A *chunked spine* following a
+vector C in [n]^(n+1) splices grid lines so that the spine crosses the i-th
+chunk boundary exactly at its C_i-th point; inside chunk i it climbs a
+diagonal at index C_i, switches to index C_(i+1) inside region C_i + 1, and
+climbs out.
 
 Herringbone functions built on such spines flow along the spine toward a
 unique fixed point and diagonally toward the spine everywhere else.  The
@@ -18,16 +19,15 @@ instance family pairs every C with a fixed-point chunk index i; queries on
 chunk boundaries then give ordered-search feedback on C and i, which is the
 bridge to nested ordered search.
 
-All arithmetic is exact integer arithmetic on numpy arrays, a whole grid
-line or spine at once; :func:`round_half_up` and :func:`line_point` state
-the same half-up rounding for one point with ``Fraction``.
+All arithmetic is exact integer arithmetic, and one closed form,
+:func:`_line_xs`, does every rounding: on numpy arrays for a whole grid line
+or spine at once, and on plain integers for one point in :func:`line_point`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,11 +40,6 @@ Point = tuple[int, int]
 
 class GeometryError(ValueError):
     """Geometric precondition violated, or a claimed invariant falsified."""
-
-
-def round_half_up(x) -> int:
-    """Nearest integer, ties toward the larger result: floor(x + 1/2)."""
-    return int((Fraction(x) + Fraction(1, 2)).__floor__())
 
 
 def line_point(u: Point, v: Point, c: int) -> Point:
@@ -62,7 +57,7 @@ def line_point(u: Point, v: Point, c: int) -> Point:
         return u
     if not b <= c <= d:
         raise GeometryError(f"sum {c} outside [{b}, {d}]")
-    x = round_half_up(Fraction(u[0] * (d - c) + v[0] * (c - b), d - b))
+    x = int(_line_xs(u[0], v[0], b, d, c))
     return (x, c - x)
 
 
@@ -86,27 +81,17 @@ def _unit_step_path(points, what: str) -> np.ndarray:
     return xy
 
 
-@dataclass(frozen=True)
-class GridLine:
-    u: Point
-    v: Point
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        if self.points[0] != self.u or self.points[-1] != self.v:
-            raise GeometryError("grid line does not join its endpoints")
-        _unit_step_path(self.points, "grid line")
-
-
-def grid_line(u: Point, v: Point) -> GridLine:
+def grid_line(u: Point, v: Point) -> tuple[Point, ...]:
     """Grid line from u to v, one point per coordinate sum."""
     if not (u[0] <= v[0] and u[1] <= v[1]):
         raise GeometryError(f"endpoints not comparable: {u} !<= {v}")
     if u == v:
-        return GridLine(u, v, (u,))
+        return (u,)
     c = np.arange(u[0] + u[1], v[0] + v[1] + 1)
     xs = _line_xs(u[0], v[0], c[0], c[-1], c)
-    return GridLine(u, v, tuple(zip(xs.tolist(), (c - xs).tolist())))
+    points = tuple(zip(xs.tolist(), (c - xs).tolist()))
+    _unit_step_path(points, "grid line")
+    return points
 
 
 @dataclass(frozen=True)
@@ -128,13 +113,6 @@ class SpineGeometry:
 
     def chunk_boundary_sums(self) -> list[int]:
         return [self.bound[i] for i in range(1, self.n + 2)]
-
-    def chunk_of_sum(self, c: int) -> int:
-        """Chunk alpha with bound(alpha) < c < bound(alpha+1)."""
-        for alpha in range(1, self.n + 1):
-            if self.bound[alpha] < c < self.bound[alpha + 1]:
-                return alpha
-        raise GeometryError(f"sum {c} is not strictly inside any chunk")
 
     def region_of_sum(self, alpha: int, c: int) -> int:
         """Region beta of chunk alpha with low <= c < high."""
@@ -168,11 +146,9 @@ def build_geometry(n: int) -> SpineGeometry:
 
 @dataclass(frozen=True)
 class Spine:
-    """Connected monotone path from (1, 1) to (n, n); optionally the chunk
-    crossing vector that generated it."""
+    """Connected monotone path from (1, 1) to (n, n)."""
 
     vertices: tuple[Point, ...]
-    c_vector: tuple[int, ...] | None = None
     xy: np.ndarray = field(init=False, repr=False, compare=False)  # vertices, (len, 2)
 
     def __post_init__(self):
@@ -218,7 +194,7 @@ def chunked_spine(geo: SpineGeometry, C: Sequence[int]) -> Spine:
     if (xs[d - 2] != V[:, 0]).any():
         raise GeometryError("grid line does not join its endpoints")
     vertices = tuple(zip(xs.tolist(), (c - xs).tolist()))
-    spine = Spine(vertices=vertices, c_vector=C)
+    spine = Spine(vertices=vertices)
     for i in range(1, n + 2):
         want = bp(geo.bound[i], C[i - 1])
         if vertices[want[0] + want[1] - 2] != want:
@@ -373,10 +349,11 @@ def thresholds(geo: SpineGeometry, fixed: tuple[str, Point],
 def region_anchor(geo: SpineGeometry, w: Point) -> tuple[int, int, int]:
     """(chunk, region, line index) of a point inside the diagonal tube.
 
-    The line index ell = w_1 - round_half_up((w_1 + w_2 - (n+1)) / 2) names
-    the unique same-index boundary-to-boundary grid line through w; by
-    translation invariance the choice of boundary pair does not matter.
-    Verified on the chunk-boundary pair before returning.
+    The line index ell = w_1 - (w_1 + w_2 - n) // 2 (w_1 minus
+    (w_1 + w_2 - n - 1) / 2 rounded half up) names the unique same-index
+    boundary-to-boundary grid line through w; by translation invariance the
+    choice of boundary pair does not matter.  Verified on the chunk-boundary
+    pair before returning.
     """
     n = geo.n
     c = w[0] + w[1]
@@ -384,7 +361,7 @@ def region_anchor(geo: SpineGeometry, w: Point) -> tuple[int, int, int]:
         raise GeometryError(f"{w} outside the lattice")
     if not geo.bound[1] <= c <= geo.bound[n + 1]:
         raise GeometryError(f"{w} outside the chunk coordinate-sum range")
-    ell = w[0] - round_half_up(Fraction(w[0] + w[1] - (n + 1), 2))
+    ell = w[0] - (c - n) // 2
     if not 1 <= ell <= n:
         raise GeometryError(f"{w} outside the tube (line index {ell})")
     if c == geo.bound[n + 1]:
@@ -434,9 +411,7 @@ def covering_set(geo: SpineGeometry, point: Point) -> list[Point]:
         quad = thresholds(geo, ("v", corner), geo.boundary_points[bounds[n + 1]], point)
         keep = {quad.d1, quad.d3, quad.d4}
         return [v for v in geo.boundary_points[bounds[n + 1]] if v[0] in keep]
-    alpha = geo.chunk_of_sum(c)
-    beta = geo.region_of_sum(alpha, c)
-    gamma = region_anchor(geo, point)[2]
+    alpha, beta, gamma = region_anchor(geo, point)
     V = {geo.boundary_point(bounds[alpha], gamma),
          geo.boundary_point(bounds[alpha + 1], gamma)}
     if 1 <= beta - 1 <= n:

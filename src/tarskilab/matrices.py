@@ -131,8 +131,8 @@ def power_norms(S: np.ndarray, tol: float = 1e-9, v0: np.ndarray | None = None,
     stop rule, iteration count and cap) and drops out when it converges.
     ``v0`` has one warm start per slice; ``names[j]`` names slice j in errors.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:  # also rejects NaN, which would stop at iteration 0
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     k, d = S.shape[0], S.shape[-1]
     start = np.ones(d)
     start[:1] += 1e-6
@@ -190,31 +190,3 @@ def spectral_norm(M: LabeledMatrix, tol: float = 1e-9, v0: np.ndarray | None = N
     """
     return power_norm(M.entries, tol=tol, v0=v0, max_iterations=max_iterations,
                       name=M.name or f"{M.dim}x{M.dim} matrix")
-
-
-def _require_same_labels(A: LabeledMatrix, B: LabeledMatrix) -> None:
-    if A.dim != B.dim:
-        raise MatrixError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    for i, (la, lb) in enumerate(zip(A.labels, B.labels)):
-        if la != lb:
-            raise MatrixError(f"label mismatch at index {i}: {la!r} vs {lb!r}")
-
-
-def hadamard(A: LabeledMatrix, B: LabeledMatrix) -> LabeledMatrix:
-    """Elementwise product; operands must agree in dim and label order."""
-    _require_same_labels(A, B)
-    return LabeledMatrix(A.labels, A.entries * B.entries,
-                         name=f"({A.name or 'A'}∘{B.name or 'B'})")
-
-
-def tensor(A: LabeledMatrix, B: LabeledMatrix) -> LabeledMatrix:
-    """Kronecker product; output label (i, j) is concat(label_A[i], label_B[j])."""
-    labels = tuple(la + lb for la in A.labels for lb in B.labels)
-    return LabeledMatrix(labels, np.kron(A.entries, B.entries),
-                         name=f"({A.name or 'A'}⊗{B.name or 'B'})")
-
-
-def rayleigh_quotient(M: LabeledMatrix, v: Sequence[float]) -> float:
-    """(v·Mv)/(v·v) — a lower bound on the spectral norm for any probe v."""
-    x = np.asarray(v, dtype=np.float64)
-    return float(x @ (M.entries @ x)) / float(x @ x)

@@ -23,7 +23,6 @@ from tarskilab import (
     denominator_identity_mismatches,
     distinguisher,
     error_factor,
-    hadamard,
     hilbert_tile,
     hsos_labeling,
     int_labels,
@@ -269,10 +268,11 @@ def test_masked_composition_equals_composition_of_masked_factors(a, b):
     for i in range(1, a * b + 1):
         p, q = gam.problem.block_of_position(i)
         lhs = gam.matrix.entries * distinguisher(gam.problem, i).entries
-        fmask = hadamard(outer.matrix, distinguisher(outer.problem, p))
-        lab = tiles[p - 1].labeling
-        masked_tile = Tile(matrix=hadamard(tiles[p - 1].matrix, tile_distinguisher(lab, q)),
-                           labeling=lab)
+        fmask = LabeledMatrix(outer.matrix.labels,
+                              outer.matrix.entries * distinguisher(outer.problem, p).entries)
+        lab, tile = tiles[p - 1].labeling, tiles[p - 1].matrix
+        masked_tile = Tile(matrix=LabeledMatrix(
+            tile.labels, tile.entries * tile_distinguisher(lab, q).entries), labeling=lab)
         rhs = compose_adversary(
             AdversaryMatrix(matrix=fmask, problem=outer.problem),
             tiles[:p - 1] + [masked_tile] + tiles[p:],

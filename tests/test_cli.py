@@ -64,6 +64,14 @@ def test_gen_requires_both_c_and_i(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [["--C", "1,2"], ["--C", "1,2,9", "--i", "1"],
+                                  ["--C", "1,1,1", "--i", "4"]])
+def test_gen_usage_error_creates_no_directory(tmp_path, args):
+    out = tmp_path / "D"
+    assert run(["gen", "--n", "2", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_solve_json_output(tmp_path, capsys):
     out = tmp_path / "inst"
     run(["gen", "--n", "2", "--C", "1,2,2", "--i", "1", "--out", str(out)])
@@ -236,6 +244,24 @@ def test_bound_tarski_beyond_float_range_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "||A_310||^311 exceeds the float64 range" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "0", "-0.5"])
+def test_tol_that_cannot_converge_is_a_usage_error(tol, capsys):
+    # NaN, inf and tol >= 1 would stop every power iteration at step 0
+    assert run(["bound", "--problem", "os", "--sizes", "8", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "tol must lie in (0, 1)" in captured.err
+    assert run(["verify", "--suite", "hilbert", "--m", "8", "--tol", tol]) == 2
+    assert "checks=" not in capsys.readouterr().out
+
+
+def test_bound_eps_with_zero_denominator_is_a_usage_error(capsys):
+    assert run(["bound", "--problem", "os", "--sizes", "8", "--eps", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: bad --eps '1/0': zero denominator\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0"])

@@ -1,11 +1,12 @@
 """Grid lines, chunk geometry, spines, herringbones, thresholds, covering."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tarskilab import (
@@ -25,35 +26,65 @@ from tarskilab import (
     nos_correspondence,
     region_anchor,
     render_string,
-    round_half_up,
     tarski_family,
     thresholds,
 )
 
 
+def fraction_line_point(u, v, c):
+    """Reference for ``line_point``: exact ``Fraction`` interpolation of the
+    x-coordinate, rounded half up as floor(x + 1/2), same checks and
+    messages."""
+    b, d = u[0] + u[1], v[0] + v[1]
+    if not (u[0] <= v[0] and u[1] <= v[1]):
+        raise GeometryError(f"endpoints not comparable: {u} !<= {v}")
+    if b == d:
+        if c != b:
+            raise GeometryError(f"sum {c} outside degenerate line at {u}")
+        return u
+    if not b <= c <= d:
+        raise GeometryError(f"sum {c} outside [{b}, {d}]")
+    x = math.floor(Fraction(u[0] * (d - c) + v[0] * (c - b), d - b) + Fraction(1, 2))
+    return (x, c - x)
+
+
 def test_round_half_up_examples():
-    assert round_half_up(Fraction(3, 2)) == 2
-    assert round_half_up(2) == 2
-    assert round_half_up(Fraction(249, 100)) == 2
-    assert round_half_up(Fraction(-1, 2)) == 0  # tie toward the larger result
-    assert round_half_up(Fraction(5, 2)) == 3
+    for u, v, c, want in [
+        ((1, 1), (2, 2), 3, (2, 1)),  # x = 3/2: the tie rounds up to 2
+        ((-1, 0), (0, 1), 0, (0, 0)),  # x = -1/2: ties go toward the larger result
+        ((2, 1), (3, 2), 4, (3, 1)),  # x = 5/2 -> 3
+        ((2, 1), (3, 100), 52, (2, 50)),  # x = 249/100 is no tie and rounds down
+    ]:
+        assert line_point(u, v, c) == fraction_line_point(u, v, c) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.fractions(min_value=-50, max_value=50))
-def test_round_half_up_is_nearest(x):
-    r = round_half_up(x)
-    assert abs(Fraction(r) - x) <= Fraction(1, 2)
-    if abs(Fraction(r) - x) == Fraction(1, 2):
-        assert Fraction(r) > x  # the tie goes up
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-3, 25), st.integers(-3, 25),
+       st.integers(-5, 5))
+@example(1, 1, 1, 1, 0)  # sum 3 is the tie x = 3/2, which rounds up to 2
+def test_round_half_up_is_nearest(x, y, dx, dy, slack):
+    # line_point and the Fraction reference agree at every sum in range and
+    # a few beyond it, and on non-comparable endpoints: same point or same
+    # error message
+    u, v = (x, y), (x + dx, y + dy)
+    for c in range(x + y - slack, x + y + dx + dy + slack + 1):
+        try:
+            want = fraction_line_point(u, v, c)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as got:
+                line_point(u, v, c)
+            assert str(got.value) == str(exc)
+            continue
+        got = line_point(u, v, c)
+        assert got == want and type(got[0]) is int
 
 
 def test_grid_line_examples():
-    assert grid_line((1, 1), (1, 4)).points == ((1, 1), (1, 2), (1, 3), (1, 4))
-    assert grid_line((1, 1), (3, 3)).points == (
+    assert grid_line((1, 1), (1, 4)) == ((1, 1), (1, 2), (1, 3), (1, 4))
+    assert grid_line((1, 1), (3, 3)) == (
         (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)
     )
-    assert grid_line((2, 5), (2, 5)).points == ((2, 5),)
+    assert grid_line((2, 5), (2, 5)) == ((2, 5),)
     with pytest.raises(GeometryError, match="comparable"):
         grid_line((2, 1), (1, 2))
 
@@ -61,13 +92,13 @@ def test_grid_line_examples():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 25), st.integers(0, 25))
 def test_grid_line_connected_monotone(x, y, dx, dy):
-    gl = grid_line((x, y), (x + dx, y + dy))  # construction validates the path
-    assert gl.points[0] == (x, y)
-    assert gl.points[-1] == (x + dx, y + dy)
-    assert len(gl.points) == dx + dy + 1
-    if dx + dy:  # the vectorized closed form agrees with line_point everywhere
-        assert gl.points == tuple(line_point((x, y), (x + dx, y + dy), c)
-                                  for c in range(x + y, x + y + dx + dy + 1))
+    pts = grid_line((x, y), (x + dx, y + dy))  # construction validates the path
+    assert pts[0] == (x, y)
+    assert pts[-1] == (x + dx, y + dy)
+    assert len(pts) == dx + dy + 1
+    if dx + dy:  # the vectorized closed form agrees with the Fraction reference
+        assert pts == tuple(fraction_line_point((x, y), (x + dx, y + dy), c)
+                            for c in range(x + y, x + y + dx + dy + 1))
 
 
 def test_endpoint_monotonicity_of_lines():
@@ -217,14 +248,17 @@ def test_region_anchor_examples():
         region_anchor(geo, (1, 2))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_region_anchor_everywhere_in_tube(n):
     geo = build_geometry(n)
     for x in range(1, geo.n_prime + 1):
         for y in range(1, geo.n_prime + 1):
             c = x + y
             if geo.bound[1] <= c <= geo.bound[n + 1] and -(n - 1) <= x - y <= n:
-                assert 1 <= region_anchor(geo, (x, y))[2] <= n
+                ell = region_anchor(geo, (x, y))[2]
+                assert 1 <= ell <= n
+                # x minus (c - (n + 1)) / 2 rounded half up, in Fraction
+                assert ell == x - math.floor(Fraction(c - (n + 1), 2) + Fraction(1, 2))
 
 
 def test_covering_set_shapes():
@@ -260,8 +294,8 @@ def test_covering_property_exhaustive_n2():
 
 
 def _reference_spine(geo, C):
-    """Chunked spine spliced from ``line_point`` (Fraction) vertices, one
-    grid line at a time."""
+    """Chunked spine spliced from ``fraction_line_point`` vertices, one grid
+    line at a time."""
     n, bp = geo.n, geo.boundary_point
     segments = [((1, 1), bp(geo.low[(1, 1)], C[0]))]
     for k in range(1, n + 1):
@@ -274,7 +308,7 @@ def _reference_spine(geo, C):
     segments.append((bp(geo.high[(n, n + 2)], C[n]), (geo.n_prime, geo.n_prime)))
     path = []
     for u, v in segments:
-        pts = [line_point(u, v, c) for c in range(sum(u), sum(v) + 1)]
+        pts = [fraction_line_point(u, v, c) for c in range(sum(u), sum(v) + 1)]
         path.extend(pts if not path else pts[1:])
     return path
 

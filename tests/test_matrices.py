@@ -1,4 +1,4 @@
-"""Spectral core: norms, Hadamard and tensor products, serialization."""
+"""Spectral core: norms, masked and Kronecker products, serialization."""
 
 import json
 import math
@@ -12,12 +12,9 @@ from tarskilab import (
     LabeledMatrix,
     MatrixError,
     SpectralConvergenceError,
-    hadamard,
     int_labels,
     power_norm,
-    rayleigh_quotient,
     spectral_norm,
-    tensor,
 )
 from tarskilab.matrices import power_norms
 
@@ -26,9 +23,7 @@ H2 = LabeledMatrix.from_rows(int_labels(2), [[1, 1 / 2], [1 / 2, 1]], name="A_2"
 
 def random_symmetric(rng, d):
     raw = rng.random((d, d))
-    # dot-terminated labels stay distinct under tensor concatenation
-    labels = tuple(f"{i}.".encode() for i in range(1, d + 1))
-    return LabeledMatrix(labels, (raw + raw.T) / 2)
+    return LabeledMatrix(int_labels(d), (raw + raw.T) / 2)
 
 
 def test_zero_matrix_norm():
@@ -72,41 +67,14 @@ def test_rayleigh_lower_bound_all_ones():
     rng = np.random.default_rng(3)
     for d in (3, 6, 11):
         m = random_symmetric(rng, d)
-        assert spectral_norm(m).norm >= rayleigh_quotient(m, np.ones(d)) - 1e-9
+        x = np.ones(d)
+        assert spectral_norm(m).norm >= x @ m.entries @ x / (x @ x) - 1e-9
 
 
 def test_convergence_failure_reports_residual():
     m = LabeledMatrix.from_rows(int_labels(2), [[0.0, 1.0], [1.0, 0.0]], name="swap")
     with pytest.raises(SpectralConvergenceError, match="swap"):
         spectral_norm(m, tol=1e-12, max_iterations=0)
-
-
-def test_hadamard_identities():
-    ones = LabeledMatrix.from_rows(int_labels(2), [[1.0, 1.0], [1.0, 1.0]])
-    zeros = LabeledMatrix.from_rows(int_labels(2), [[0.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(hadamard(H2, ones).to_float(), H2.to_float())
-    assert np.array_equal(hadamard(H2, zeros).to_float(), zeros.to_float())
-    mask = LabeledMatrix.from_rows(int_labels(2), [[1, 1], [1, 0]])
-    prod = hadamard(H2, mask)
-    assert prod.entries[0, 1] == 1 / 2
-    assert prod.entries[1, 1] == 0
-
-
-def test_hadamard_label_mismatch_names_label():
-    other = LabeledMatrix.from_rows((b"1", b"x"), [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(MatrixError, match="index 1"):
-        hadamard(H2, other)
-
-
-def test_hadamard_commutative_associative():
-    rng = np.random.default_rng(11)
-    a, b, c = (random_symmetric(rng, 4) for _ in range(3))
-    ab = hadamard(a, b).to_float()
-    ba = hadamard(b, a).to_float()
-    assert np.array_equal(ab, ba)
-    left = hadamard(hadamard(a, b), c).to_float()
-    right = hadamard(a, hadamard(b, c)).to_float()
-    assert np.allclose(left, right, rtol=0, atol=1e-15)
 
 
 def test_hadamard_monotone_in_mask():
@@ -116,28 +84,17 @@ def test_hadamard_monotone_in_mask():
     bigger_raw = b.to_float() + random_symmetric(rng, 6).to_float()
     bigger = LabeledMatrix(b.labels, bigger_raw)
     assert (
-        spectral_norm(hadamard(a, b)).norm
-        <= spectral_norm(hadamard(a, bigger)).norm + 1e-9
+        power_norm(a.entries * b.entries).norm
+        <= power_norm(a.entries * bigger.entries).norm + 1e-9
     )
 
 
-def test_tensor_scalar_cases():
-    one = LabeledMatrix.from_rows((b"s",), [[1]])
-    out = tensor(H2, one)
-    assert np.array_equal(out.to_float(), H2.to_float())
-    assert out.labels == (b"1s", b"2s")
-    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]])
-    two = LabeledMatrix.from_rows((b"t",), [[2]])
-    scaled = tensor(swap, two)
-    assert scaled.entries[0, 1] == 2 and scaled.entries[0, 0] == 0
-
-
 def test_tensor_norm_multiplicative_example():
-    swap = LabeledMatrix.from_rows(int_labels(2), [[0, 1], [1, 0]])
-    prod = tensor(swap, H2)
-    assert spectral_norm(prod).norm == pytest.approx(1.5, rel=1e-9)
-    oracle = np.linalg.eigvalsh(prod.to_float())[-1]
-    assert spectral_norm(prod).norm == pytest.approx(oracle, rel=1e-9)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    prod = np.kron(swap, H2.entries)
+    assert power_norm(prod).norm == pytest.approx(1.5, rel=1e-9)
+    oracle = np.linalg.eigvalsh(prod)[-1]
+    assert power_norm(prod).norm == pytest.approx(oracle, rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -148,14 +105,8 @@ def test_tensor_norm_multiplicative_random(da, db, seed):
     b = random_symmetric(rng, db)
     na = spectral_norm(a).norm
     nb = spectral_norm(b).norm
-    nab = spectral_norm(tensor(a, b)).norm
+    nab = power_norm(np.kron(a.entries, b.entries)).norm
     assert nab == pytest.approx(na * nb, rel=1e-8, abs=1e-12)
-
-
-def test_tensor_label_concatenation_order():
-    a = LabeledMatrix.from_rows((b"x", b"y"), [[1.0, 0.0], [0.0, 1.0]])
-    b = LabeledMatrix.from_rows((b"1", b"2"), [[1.0, 0.0], [0.0, 1.0]])
-    assert tensor(a, b).labels == (b"x1", b"x2", b"y1", b"y2")
 
 
 def test_validation_rejects_asymmetric_and_negative():
@@ -247,6 +198,15 @@ def test_stacked_power_norms_warm_starts_and_cold_rows():
         assert w.iterations <= c.iterations and w.norm == pytest.approx(c.norm, rel=1e-8)
     zero_row = power_norms(S, v0=np.zeros((4, 12)))  # a zero row starts cold
     assert [r.iterations for r in zero_row] == [r.iterations for r in cold]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 0.0, -1.0])
+def test_tol_outside_open_unit_interval_raises(tol):
+    # such a tol would stop the iteration at step 0 with an unconverged norm
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        power_norms(H2.entries[None], tol=tol)
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        spectral_norm(H2, tol=tol)
 
 
 def test_stacked_cap_error_names_the_unconverged_slice():
