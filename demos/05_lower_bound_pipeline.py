@@ -41,11 +41,11 @@ for n in (2, 3):
     worst = 0
     count = 0
     for C, i, fn in tarski_family(geo):
-        res = nested_solve(Oracle.over(fn))
+        res = nested_solve(Oracle(fn))
         assert not res.fell_back
         worst = max(worst, res.queries_used)
         count += 1
-    brute = solve_brute(Oracle.over(fn)).queries_used
+    brute = solve_brute(Oracle(fn)).queries_used
     cap = 4 * (math.ceil(math.log2(geo.n_prime)) + 1) ** 2
     print(f"  {geo.n_prime:3d}   {count:6d}        {worst:4d}                  "
           f"{cap:4d}                    {brute}")

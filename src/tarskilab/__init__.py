@@ -74,7 +74,6 @@ from .geometry import (
     chunked_spine,
     covering_set,
     family_parameters,
-    grid_line,
     herringbone,
     line_point,
     nos_correspondence,

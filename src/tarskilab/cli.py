@@ -89,6 +89,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.m is not None and args.m < 1:
+        raise UsageError(f"--m must be >= 1, got {args.m}")
+    if args.sample < 0:
+        raise UsageError(f"--sample must be >= 0, got {args.sample}")
     kwargs = {
         "n": args.n,
         "a": args.a,
@@ -218,7 +222,7 @@ def cmd_solve(args) -> int:
               f"{witness[1]} with f{witness[0]}={fn.value(*witness[0])}, "
               f"f{witness[1]}={fn.value(*witness[1])}")
         return EXIT_CHECK_FAILURE
-    oracle = Oracle.over(fn)
+    oracle = Oracle(fn)
     result = nested_solve(oracle) if args.algo == "nested" else solve_brute(oracle)
     if args.format == "json":
         print(json.dumps(

@@ -20,8 +20,8 @@ chunk boundaries then give ordered-search feedback on C and i, which is the
 bridge to nested ordered search.
 
 All arithmetic is exact integer arithmetic, and one closed form,
-:func:`_line_xs`, does every rounding: on numpy arrays for a whole grid line
-or spine at once, and on plain integers for one point in :func:`line_point`.
+:func:`_line_xs`, does every rounding: on numpy arrays for a whole spine at
+once, and on plain integers for one point in :func:`line_point`.
 """
 
 from __future__ import annotations
@@ -79,19 +79,6 @@ def _unit_step_path(points, what: str) -> np.ndarray:
         a, b = (tuple(xy[k].tolist()) for k in (bad[0], bad[0] + 1))
         raise GeometryError(f"{what} not connected/monotone at {a} -> {b}")
     return xy
-
-
-def grid_line(u: Point, v: Point) -> tuple[Point, ...]:
-    """Grid line from u to v, one point per coordinate sum."""
-    if not (u[0] <= v[0] and u[1] <= v[1]):
-        raise GeometryError(f"endpoints not comparable: {u} !<= {v}")
-    if u == v:
-        return (u,)
-    c = np.arange(u[0] + u[1], v[0] + v[1] + 1)
-    xs = _line_xs(u[0], v[0], c[0], c[-1], c)
-    points = tuple(zip(xs.tolist(), (c - xs).tolist()))
-    _unit_step_path(points, "grid line")
-    return points
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -113,23 +112,24 @@ def _is_int_pair(pair) -> bool:
 
 
 class Oracle:
-    """Counting view of a lattice function.  One view per solver run; the
-    counter is the only mutable state and is owned by this view alone."""
+    """Counting view of a lattice function table.  One view per solver run;
+    the counter is the only mutable state and is owned by this view alone."""
 
-    def __init__(self, fn: Callable[[int, int], tuple[int, int]], n: int):
+    def __init__(self, fn: LatticeFn):
         self._fn = fn
-        self.n = n
+        self.n = fn.n
         self.query_count = 0
 
     def query(self, x: int, y: int) -> tuple[int, int]:
         if not (1 <= x <= self.n and 1 <= y <= self.n):
             raise LatticeError(f"query ({x}, {y}) outside [1, {self.n}]^2")
         self.query_count += 1
-        return self._fn(x, y)
+        return self._fn.value(x, y)
 
-    @classmethod
-    def over(cls, fn: LatticeFn) -> "Oracle":
-        return cls(fn.value, fn.n)
+    def scan(self) -> LatticeFn:
+        """Counted full scan: one query per cell, n^2 in all."""
+        self.query_count += self.n * self.n
+        return self._fn
 
 
 @dataclass(frozen=True)
@@ -158,23 +158,18 @@ def check_monotone(f: LatticeFn) -> tuple[bool, tuple | None]:
 
 def brute_fixed_points(f: LatticeFn) -> list[tuple[int, int]]:
     """All fixed points, in row-major order (x outer, y inner)."""
-    xs, ys = np.meshgrid(
-        np.arange(1, f.n + 1), np.arange(1, f.n + 1), indexing="ij"
-    )
-    hits = np.argwhere((f.values[:, :, 0] == xs) & (f.values[:, :, 1] == ys))
+    r = np.arange(1, f.n + 1)
+    hits = np.argwhere((f.values[:, :, 0] == r[:, None]) & (f.values[:, :, 1] == r))
     return [(int(x) + 1, int(y) + 1) for x, y in hits]
 
 
 def solve_brute(oracle: Oracle) -> SolveResult:
-    """Full scan through the oracle; always n^2 queries."""
-    found = None
-    for x in range(1, oracle.n + 1):
-        for y in range(1, oracle.n + 1):
-            if oracle.query(x, y) == (x, y) and found is None:
-                found = (x, y)
-    if found is None:
+    """Full scan through the oracle (always n^2 queries); returns the first
+    fixed point in row-major order."""
+    found = brute_fixed_points(oracle.scan())
+    if not found:
         raise LatticeError("no fixed point found; input is not monotone")
-    return SolveResult(fixed_point=found, queries_used=oracle.query_count,
+    return SolveResult(fixed_point=found[0], queries_used=oracle.query_count,
                        algorithm="brute")
 
 
@@ -232,39 +227,16 @@ def nested_solve(oracle: Oracle) -> SolveResult:
                        algorithm="brute", fell_back=True)
 
 
-def clamp_embed(f, n: int, k: int = 2) -> Oracle:
-    """Oracle view of ``f`` embedded into the larger lattice [n]^k.
+def clamp_embed(f: LatticeFn, n: int) -> LatticeFn:
+    """``f`` on [n']^2 padded to the larger lattice [n]^2 by clamping each
+    coordinate with ``min(x_i, n')``.
 
-    Each coordinate kept by the smaller instance is clamped with
-    ``min(x_i, n')``; trailing coordinates of the big lattice are dropped on
-    the way in and returned as 1 (the bottom element) on the way out, so the
-    composition is a monotone self-map of [n]^k whose fixed points are
-    exactly the fixed points of ``f``.
-
-    ``f`` is a :class:`LatticeFn` (two-dimensional) or a 1-based sequence of
-    ints (one-dimensional).  Only k = 2 views are produced here; the
-    one-dimensional case is the k' = 1 < k = 2 embedding.
+    This is the paper's padding step from the family's side n' to every
+    n >= n'.  Clamping is monotone, so the padded table is monotone when
+    ``f`` is; its outputs stay in [n']^2, so its fixed points are exactly
+    the fixed points of ``f``.
     """
-    if k != 2:
-        raise LatticeError("only k = 2 embeddings are produced")
-    if isinstance(f, LatticeFn):
-        if f.n > n:
-            raise LatticeError(f"cannot embed side {f.n} into smaller side {n}")
-        np_ = f.n
-
-        def view(x: int, y: int) -> tuple[int, int]:
-            return f.value(min(x, np_), min(y, np_))
-
-    else:
-        table = list(f)
-        np_ = len(table)
-        if np_ > n:
-            raise LatticeError(f"cannot embed side {np_} into smaller side {n}")
-        for v in table:
-            if not 1 <= v <= np_:
-                raise LatticeError("1-d table output out of range")
-
-        def view(x: int, y: int) -> tuple[int, int]:
-            return table[min(x, np_) - 1], 1
-
-    return Oracle(view, n)
+    if f.n > n:
+        raise LatticeError(f"cannot embed side {f.n} into smaller side {n}")
+    idx = np.minimum(np.arange(n), f.n - 1)
+    return LatticeFn(n=n, values=f.values[np.ix_(idx, idx)])

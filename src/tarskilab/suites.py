@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import (
+    AdversaryError,
     AdversaryMatrix,
     compose_adversary,
     composed_principal_vector,
@@ -186,6 +187,9 @@ def suite_symmetrize(m_max: int = 4, seed: int = 0, tol: float = 1e-9, **_) -> S
 def suite_composition(a: int = 3, b: int = 3, seed: int = 0, tol: float = 1e-9,
                       **_) -> SuiteReport:
     """Composition identities for nested ordered search at one size (a, b)."""
+    if a < 2:
+        # OS_1 has a single instance, so the composed adversary vanishes
+        raise AdversaryError(f"composition needs a >= 2 outer positions, got a={a}")
     t0 = time.time()
     rep = SuiteReport(suite="composition")
     outer = os_adversary(a)
@@ -423,7 +427,7 @@ def suite_solver(n: int = 2, **_) -> SuiteReport:
             fps == [expected],
             json.dumps({"found": fps, "expected": expected}),
         )
-        result = nested_solve(Oracle.over(fn))
+        result = nested_solve(Oracle(fn))
         rep.check(
             f"solver/n={n}/C={list(C)}/i={i}/nested-matches-brute",
             result.fixed_point == expected and not result.fell_back,
@@ -435,7 +439,7 @@ def suite_solver(n: int = 2, **_) -> SuiteReport:
             result.queries_used <= cap,
             json.dumps({"queries": result.queries_used, "cap": cap}),
         )
-        brute = solve_brute(Oracle.over(fn))
+        brute = solve_brute(Oracle(fn))
         rep.check(
             f"solver/n={n}/C={list(C)}/i={i}/brute-query-count",
             brute.queries_used == geo.n_prime ** 2,

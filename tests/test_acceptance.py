@@ -185,10 +185,10 @@ def test_criterion_09_solver():
         cap = 4 * (math.ceil(math.log2(geo.n_prime)) + 1) ** 2
         for C, i, fn in tarski_family(geo):
             expected = geo.boundary_point(geo.bound[i], C[i - 1])
-            res = nested_solve(Oracle.over(fn))
+            res = nested_solve(Oracle(fn))
             assert res.fixed_point == expected and not res.fell_back, (n, C, i)
             assert res.queries_used <= cap, (n, C, i, res.queries_used, cap)
-            brute = solve_brute(Oracle.over(fn))
+            brute = solve_brute(Oracle(fn))
             assert brute.fixed_point == expected
             assert brute.queries_used == geo.n_prime ** 2
     report(9, "nested matches brute on T(10) and T(33) within the query budget")

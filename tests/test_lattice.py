@@ -9,11 +9,14 @@ from tarskilab import (
     LatticeError,
     LatticeFn,
     Oracle,
+    SolveResult,
     brute_fixed_points,
+    build_geometry,
     check_monotone,
     clamp_embed,
     nested_solve,
     solve_brute,
+    tarski_family,
 )
 
 
@@ -26,6 +29,20 @@ def random_monotone(rng, n):
     raw = rng.integers(1, n + 1, size=(n, n, 2))
     acc = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
     return LatticeFn(n=n, values=acc.astype(np.int32))
+
+
+def loop_solve_brute(oracle):
+    """Reference for ``solve_brute``: query every cell in row-major order
+    and keep the first fixed point."""
+    found = None
+    for x in range(1, oracle.n + 1):
+        for y in range(1, oracle.n + 1):
+            if oracle.query(x, y) == (x, y) and found is None:
+                found = (x, y)
+    if found is None:
+        raise LatticeError("no fixed point found; input is not monotone")
+    return SolveResult(fixed_point=found, queries_used=oracle.query_count,
+                       algorithm="brute")
 
 
 def test_check_monotone_identity():
@@ -62,27 +79,27 @@ def test_random_monotone_have_fixed_points_and_nested_finds_one():
         n = int(rng.integers(1, 17))
         f = random_monotone(rng, n)
         assert check_monotone(f)[0]
-        result = nested_solve(Oracle.over(f))
+        result = nested_solve(Oracle(f))
         assert f.value(*result.fixed_point) == result.fixed_point
         assert not result.fell_back
         assert result.fixed_point in brute_fixed_points(f)
 
 
 def test_nested_solve_trivial_lattice():
-    res = nested_solve(Oracle.over(identity_fn(1)))
+    res = nested_solve(Oracle(identity_fn(1)))
     assert res.fixed_point == (1, 1)
     assert res.queries_used <= 4
 
 
 def test_brute_query_count_is_exactly_n_squared():
     f = identity_fn(10)
-    res = solve_brute(Oracle.over(f))
+    res = solve_brute(Oracle(f))
     assert res.queries_used == 100
     assert res.fixed_point == (1, 1)
 
 
 def test_oracle_counts_repeats_and_rejects_out_of_range():
-    oracle = Oracle.over(identity_fn(3))
+    oracle = Oracle(identity_fn(3))
     oracle.query(2, 2)
     oracle.query(2, 2)
     assert oracle.query_count == 2
@@ -90,6 +107,43 @@ def test_oracle_counts_repeats_and_rejects_out_of_range():
         oracle.query(0, 1)
     with pytest.raises(LatticeError):
         oracle.query(1, 4)
+
+
+def test_solve_brute_matches_loop_reference_on_random_monotone():
+    rng = np.random.default_rng(2011)
+    for n in range(1, 17):
+        for _ in range(3):
+            f = random_monotone(rng, n)
+            assert solve_brute(Oracle(f)) == loop_solve_brute(Oracle(f))
+
+
+def test_solve_brute_returns_first_fixed_point_in_row_major_order():
+    several = LatticeFn.from_map(4, lambda x, y: (x, y) if (x, y) in {(3, 1), (2, 4)}
+                                 else (4, 4))
+    assert brute_fixed_points(several) == [(2, 4), (3, 1), (4, 4)]
+    for f, first in ((identity_fn(5), (1, 1)), (several, (2, 4))):
+        res = solve_brute(Oracle(f))
+        assert res == loop_solve_brute(Oracle(f))
+        assert res.fixed_point == first
+
+
+def test_solve_brute_without_fixed_point_raises_like_the_loop():
+    shift = LatticeFn.from_map(3, lambda x, y: (x % 3 + 1, y))
+    with pytest.raises(LatticeError) as want:
+        loop_solve_brute(Oracle(shift))
+    with pytest.raises(LatticeError) as got:
+        solve_brute(Oracle(shift))
+    assert str(got.value) == str(want.value) == "no fixed point found; input is not monotone"
+
+
+def test_oracle_scan_adds_n_squared_after_earlier_queries():
+    f = identity_fn(4)
+    oracle = Oracle(f)
+    oracle.query(1, 2)
+    oracle.query(1, 2)
+    assert oracle.scan() is f
+    assert oracle.query_count == 2 + 16
+    assert solve_brute(oracle).queries_used == 2 + 32
 
 
 def test_nested_falls_back_on_non_monotone():
@@ -104,59 +158,58 @@ def test_nested_falls_back_on_non_monotone():
 
     f = LatticeFn.from_map(3, table)
     assert not check_monotone(f)[0]
-    res = nested_solve(Oracle.over(f))
+    res = nested_solve(Oracle(f))
     assert res.fixed_point == (3, 3)
     assert res.fell_back and res.algorithm == "brute"
+    # the two queries of the failed inner search, then the n^2 scan
+    assert res.queries_used == 2 + 9
 
 
 def test_clamp_direct_values():
     f = identity_fn(3)
-    view = clamp_embed(f, 5)
-    assert view.query(4, 2) == (3, 2)  # clamped to (3, 2), identity there
-    assert view.query(5, 5) == (3, 3)
+    big = clamp_embed(f, 5)
+    assert big.n == 5
+    assert big.value(4, 2) == (3, 2)  # clamped to (3, 2), identity there
+    assert big.value(5, 5) == (3, 3)
+    rng = np.random.default_rng(9)
+    for n_small, n in [(1, 1), (1, 4), (3, 3), (4, 7), (6, 9)]:
+        f = random_monotone(rng, n_small)
+        big = clamp_embed(f, n)
+        assert all(big.value(x, y) == f.value(min(x, n_small), min(y, n_small))
+                   for x in range(1, n + 1) for y in range(1, n + 1))
 
 
 def test_clamp_fixed_points_preserved_exhaustively():
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = random_monotone(rng, 3)
-        view = clamp_embed(f, 5)
-        big_fixed = [
-            (x, y)
-            for x in range(1, 6)
-            for y in range(1, 6)
-            if view.query(x, y) == (x, y)
-        ]
-        assert big_fixed == brute_fixed_points(f)
+        assert brute_fixed_points(clamp_embed(f, 5)) == brute_fixed_points(f)
 
 
 def test_clamp_preserves_monotonicity():
     rng = np.random.default_rng(17)
     for _ in range(50):
         f = random_monotone(rng, 4)
-        view = clamp_embed(f, 6)
-        table = LatticeFn.from_map(6, lambda x, y: view.query(x, y))
-        assert check_monotone(table)[0]
-
-
-def test_clamp_one_dimensional_table():
-    table = [2, 2, 3]  # monotone self-map of [3]; fixed points 2 and 3
-    view = clamp_embed(table, 4)
-    assert view.query(1, 3) == (2, 1)
-    fixed = [
-        (x, y)
-        for x in range(1, 5)
-        for y in range(1, 5)
-        if view.query(x, y) == (x, y)
-    ]
-    assert fixed == [(2, 1), (3, 1)]
+        assert check_monotone(clamp_embed(f, 6))[0]
 
 
 def test_clamp_rejects_bad_sizes():
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="cannot embed side 5 into smaller side 3"):
         clamp_embed(identity_fn(5), 3)
-    with pytest.raises(LatticeError):
-        clamp_embed(identity_fn(2), 4, k=3)
+
+
+def test_clamped_family_keeps_its_one_fixed_point():
+    geo = build_geometry(2)
+    members = 0
+    for C, i, fn in tarski_family(geo):
+        expected = geo.boundary_point(geo.bound[i], C[i - 1])
+        big = clamp_embed(fn, geo.n_prime + 3)
+        assert check_monotone(big)[0]
+        assert brute_fixed_points(big) == [expected]
+        assert solve_brute(Oracle(big)).fixed_point == expected
+        assert nested_solve(Oracle(big)).fixed_point == expected
+        members += 1
+    assert members == 24
 
 
 def test_json_roundtrip_and_errors():
