@@ -6,6 +6,7 @@ Run:  python demos/01_spectral_toolkit.py
 import numpy as np
 
 from tarskilab import LabeledMatrix, int_labels, power_norm, spectral_norm
+from tarskilab.matrices import EIGH_MAX_DIM
 
 # Matrices carry labels naming the problem instance behind each row.  Entries
 # are float64; the inverse-distance weights 1/k are correctly rounded.
@@ -20,11 +21,20 @@ A = LabeledMatrix.from_rows(
 )
 print("entries:", A.entries[0].tolist())
 
+# A matrix this small starts from the absolute value of a LAPACK top
+# eigenvector, which already passes the power iteration's stop rule: it
+# converges after 0 iterations.  Above EIGH_MAX_DIM rows the iteration
+# steps from the all-ones vector.
 res = spectral_norm(A)
 print(f"norm {res.norm:.12f} after {res.iterations} iterations "
       f"(residual {res.residual:.2e})")
 print("dense eigendecomposition agrees:",
       np.isclose(res.norm, np.linalg.eigvalsh(A.to_float())[-1]))
+m = EIGH_MAX_DIM + 8
+big = 1.0 / (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) + 1.0)
+big_res = power_norm(big)
+print(f"{m}x{m} inverse-distance weights: norm {big_res.norm:.12f} after "
+      f"{big_res.iterations} iterations (residual {big_res.residual:.2e})")
 
 # Any probe vector's Rayleigh quotient x.Ax / x.x is a lower bound on the
 # norm; the all-ones vector is the cheapest one.

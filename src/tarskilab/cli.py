@@ -116,6 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_sizes(problem: str, text: str) -> list:
+    least, what = {"nos": (1, "A and B"), "tarski": (2, "n")}.get(problem, (1, "m"))
     sizes = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -123,9 +124,12 @@ def _parse_sizes(problem: str, text: str) -> list:
             if "x" not in tok:
                 raise UsageError(f"nos sizes look like AxB, got {tok!r}")
             a, b = tok.split("x")
-            sizes.append((int(a), int(b)))
+            size = (int(a), int(b))
         else:
-            sizes.append(int(tok))
+            size = (int(tok),)
+        if min(size) < least:
+            raise UsageError(f"bad --sizes {tok!r}: {what} must be >= {least}")
+        sizes.append(size if problem == "nos" else size[0])
     return sizes
 
 
@@ -146,8 +150,6 @@ def _bound_row(problem: str, size, eps: float, tol: float,
             a, b = size
             label = f"{a}x{b}"
         else:
-            if size < 2:
-                raise UsageError("n must be >= 2")
             a, b = size + 1, size
             label = str(size)
         if dump_dir is not None and a * b ** a > NOS_INSTANCE_CAP:

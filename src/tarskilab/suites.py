@@ -190,6 +190,8 @@ def suite_composition(a: int = 3, b: int = 3, seed: int = 0, tol: float = 1e-9,
     if a < 2:
         # OS_1 has a single instance, so the composed adversary vanishes
         raise AdversaryError(f"composition needs a >= 2 outer positions, got a={a}")
+    if b < 1:
+        raise AdversaryError(f"composition needs b >= 1 tile positions, got b={b}")
     t0 = time.time()
     rep = SuiteReport(suite="composition")
     outer = os_adversary(a)

@@ -537,7 +537,8 @@ def test_invalid_labeling_reports_the_loop_witness():
 
 def test_masked_norms_match_single_positions():
     rng = np.random.default_rng(11)
-    for g in (os_adversary(9), hilbert_tile(7), random_adversary(hsos_labeling(3).problem, rng)):
+    for g in (os_adversary(9), hilbert_tile(7), random_adversary(hsos_labeling(3).problem, rng),
+              os_adversary(40), hilbert_tile(36)):  # the last two above EIGH_MAX_DIM
         stacked = masked_norms(g)
         assert len(stacked) == (g.labeling if isinstance(g, Tile) else g).problem.length
         for i, res in enumerate(stacked, start=1):

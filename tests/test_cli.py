@@ -277,10 +277,29 @@ def test_bound_rejects_tarski_below_two(n, capsys):
     (["--suite", "hilbert", "--m", "0"], "--m must be >= 1"),
     (["--suite", "symmetrize", "--m", "-3"], "--m must be >= 1"),
     (["--suite", "covering", "--n", "3", "--sample", "-5"], "--sample must be >= 0"),
+    (["--suite", "composition", "--a", "3", "--b", "0"], "b=0"),
+    (["--suite", "composition", "--a", "2", "--b", "-2"], "b=-2"),
 ])
 def test_verify_bad_size_is_a_usage_error(tmp_path, capsys, args, message):
     out = tmp_path / "report.json"
     assert run(["verify", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem,sizes,message", [
+    ("os", "4,0", "--sizes '0': m must be >= 1"),
+    ("os", "-3", "--sizes '-3': m must be >= 1"),
+    ("hsos", "0", "--sizes '0': m must be >= 1"),
+    ("nos", "3x0", "--sizes '3x0': A and B must be >= 1"),
+    ("nos", "0x3", "--sizes '0x3': A and B must be >= 1"),
+    ("tarski", "0", "--sizes '0': n must be >= 2"),
+])
+def test_bound_bad_size_is_a_usage_error(tmp_path, capsys, problem, sizes, message):
+    out = tmp_path / "table.csv"
+    assert run(["bound", "--problem", problem, "--sizes", sizes, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err

@@ -16,7 +16,7 @@ from tarskilab import (
     power_norm,
     spectral_norm,
 )
-from tarskilab.matrices import power_norms
+from tarskilab.matrices import EIGH_MAX_DIM, power_norms
 
 H2 = LabeledMatrix.from_rows(int_labels(2), [[1, 1 / 2], [1 / 2, 1]], name="A_2")
 
@@ -71,8 +71,13 @@ def test_rayleigh_lower_bound_all_ones():
         assert spectral_norm(m).norm >= x @ m.entries @ x / (x @ x) - 1e-9
 
 
+# The 2x2 swap converges exactly at iteration 0 from its eigh start; this
+# 34x34 one lies above EIGH_MAX_DIM, so the iterative loop runs.
+BIG_SWAP = np.kron([[0.0, 1.0], [1.0, 0.0]], np.ones((17, 17)))
+
+
 def test_convergence_failure_reports_residual():
-    m = LabeledMatrix.from_rows(int_labels(2), [[0.0, 1.0], [1.0, 0.0]], name="swap")
+    m = LabeledMatrix(int_labels(34), BIG_SWAP, name="swap")
     with pytest.raises(SpectralConvergenceError, match="swap"):
         spectral_norm(m, tol=1e-12, max_iterations=0)
 
@@ -181,22 +186,72 @@ def test_stacked_power_norms_match_single_slices(d):
     stacked = power_norms(S, tol=1e-10)
     for A, res in zip(S, stacked):
         single = power_norm(A, tol=1e-10)
-        ref_norm, ref_iters = scalar_power_norm(A, tol=1e-10)
-        assert res.iterations == single.iterations == ref_iters
-        for other in (single.norm, ref_norm):
+        top = np.linalg.eigvalsh(A)[-1]
+        if d <= EIGH_MAX_DIM:  # the eigh start passes the stop rule
+            assert res.iterations == single.iterations == 0
+            others = (single.norm, top)
+        else:  # the scalar loop's steps
+            ref_norm, ref_iters = scalar_power_norm(A, tol=1e-10)
+            assert res.iterations == single.iterations == ref_iters
+            others = (single.norm, ref_norm)
+            assert res.norm == pytest.approx(top, rel=1e-8, abs=1e-12)
+        for other in others:
             assert abs(res.norm - other) <= 1e-13 * max(other, 1e-300)
-        assert res.norm == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-8, abs=1e-12)
     assert stacked[4].norm == 0.0 and stacked[4].iterations == 0
 
 
+def structured_slices(rng, d):
+    """For d >= 2: block-diagonal slices with equal top eigenvalues (with a
+    zero row when d is odd) and bipartite slices with lambda_min = -lambda_max."""
+    h = d // 2
+    out = []
+    for _ in range(2):
+        raw = rng.random((h, h))
+        B = raw + raw.T
+        twin = np.zeros((d, d))
+        twin[:h, :h] = twin[h:2 * h, h:2 * h] = B
+        C = rng.random((h, d - h))
+        bip = np.zeros((d, d))
+        bip[:h, h:] = C
+        bip[h:, :h] = C.T
+        out += [twin, bip]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 31, 32, 33, 40])
+def test_power_norms_are_certified_on_both_sides_of_the_eigh_bound(d):
+    rng = np.random.default_rng(100 + d)
+    S = random_stack(rng, 7, d)
+    if d >= 2:
+        S = np.concatenate([S, structured_slices(rng, d)])
+    tol = 1e-9
+    stacked = power_norms(S, tol=tol)
+    for A, res in zip(S, stacked):
+        top = np.linalg.eigvalsh(A)[-1]
+        assert abs(res.norm - top) <= 1e-13 * max(top, 1e-300)
+        v = res.eigenvector
+        assert np.all(v >= 0.0)
+        direct = np.linalg.norm(A @ v - res.norm * v)
+        assert direct <= res.residual + 1e-12
+        assert res.residual <= tol * max(res.norm, 1e-30)
+        alone = power_norm(A, tol=tol)
+        assert alone.iterations == res.iterations
+        assert abs(alone.norm - res.norm) <= 1e-13 * max(res.norm, 1e-300)
+        if d <= EIGH_MAX_DIM:
+            assert res.iterations == 0
+    assert stacked[3].norm == 0.0  # the all-zero slice
+
+
 def test_stacked_power_norms_warm_starts_and_cold_rows():
+    d = EIGH_MAX_DIM + 8  # v0 is read only above the eigh bound
     rng = np.random.default_rng(5)
-    S = random_stack(rng, 4, 12)
+    S = random_stack(rng, 4, d)
     cold = power_norms(S)
     warm = power_norms(S, v0=np.array([r.eigenvector for r in cold]))
     for w, c in zip(warm, cold):
         assert w.iterations <= c.iterations and w.norm == pytest.approx(c.norm, rel=1e-8)
-    zero_row = power_norms(S, v0=np.zeros((4, 12)))  # a zero row starts cold
+    assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+    zero_row = power_norms(S, v0=np.zeros((4, d)))  # a zero row starts cold
     assert [r.iterations for r in zero_row] == [r.iterations for r in cold]
 
 
@@ -210,7 +265,20 @@ def test_tol_outside_open_unit_interval_raises(tol):
 
 
 def test_stacked_cap_error_names_the_unconverged_slice():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SpectralConvergenceError, match="on second did not reach"):
-        power_norms(np.stack([np.zeros((2, 2)), swap]), tol=1e-12, max_iterations=0,
+        power_norms(np.stack([np.zeros((34, 34)), BIG_SWAP]), tol=1e-12, max_iterations=0,
                     names=["first", "second"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad):
+    A = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match=r"slice 1 \(second\) has a non-finite entry"):
+        power_norms(np.stack([H2.entries, A]), names=["first", "second"])
+    with pytest.raises(ValueError, match=r"slice 0 \(2x2 matrix\) has a non-finite entry"):
+        power_norm(A)
+    with pytest.raises(MatrixError, match=r"Q: entry \(0, 1\) is .*, not finite"):
+        LabeledMatrix(int_labels(2), A, name="Q")
+    text = json.dumps({"dim": 2, "labels": ["1", "2"], "entries": [[1.0, 0.0], [0.0, bad]]})
+    with pytest.raises(MatrixError, match=r"entry \(1, 1\) is .*, not finite"):
+        LabeledMatrix.from_json(text)
