@@ -342,6 +342,13 @@ def masked_norms(g: AdversaryMatrix | Tile, tol: float = 1e-9,
     position, read only at the positions iterated.  Mirror pairs: where index
     reversal maps the entries to themselves and D_{L+1-i} to D_i exactly, a
     position i > L+1-i takes its partner's result, eigenvector reversed."""
+    return _masked_norms(g, tol, positions, v0)
+
+
+def _masked_norms(g: AdversaryMatrix | Tile, tol: float, positions: Sequence[int] | None,
+                  v0: np.ndarray | None, unmasked: bool = False) -> list[SpectralResult]:
+    """:func:`masked_norms`, preceded, if ``unmasked`` (with ``v0`` None), by
+    :func:`spectral_norm` of ``g``'s matrix as one more slice of the first stack."""
     chars = _labeling_chars(g.labeling) if isinstance(g, Tile) else g.problem.char_table()[None]
     length = chars.shape[-1]
     positions = list(range(1, length + 1) if positions is None else positions)
@@ -349,10 +356,11 @@ def masked_norms(g: AdversaryMatrix | Tile, tol: float = 1e-9,
     # flipped chars give, at i, the position-(L+1-i) mask reversed
     flip = chars[:, ::-1, ::-1] if np.array_equal(ent, ent[::-1, ::-1]) else None
     step = max(1, STACK_BYTES // (8 * max(len(ent), 1) ** 2))
-    keys: list[int] = []  # per requested position, the position iterated for it
-    todo: list = []  # (position, mask, warm start) queued for the next stack
+    keys: list[int] = [0] if unmasked else []  # per result, the position iterated for it
+    # (position, mask, warm start) queued for the next stack; position 0 is no mask
+    todo: list = [(0, np.ones(ent.shape, dtype=bool), None)] if unmasked else []
     done: dict[int, SpectralResult] = {}
-    for c in range(0, len(positions), step):
+    for c in range(0, max(len(positions), 1), step):  # one pass flushes the unmasked slice
         chunk = positions[c:c + step]
         masks = _position_masks(chars, chunk)  # validates in position order
         if flip is not None:
@@ -369,9 +377,10 @@ def masked_norms(g: AdversaryMatrix | Tile, tol: float = 1e-9,
             done.update(zip([k for k, _, _ in run], power_norms(
                 ent * np.stack([m for _, m, _ in run]), tol=tol,
                 v0=None if v0 is None else np.stack([w for _, _, w in run]),
-                names=[f"{g.matrix.name or 'Gamma'}∘D_{k}" for k, _, _ in run])))
+                names=[f"{g.matrix.name or 'Gamma'}∘D_{k}" if k else g.matrix.name
+                       for k, _, _ in run])))
     return [done[k] if k == i else replace(done[k], eigenvector=done[k].eigenvector[::-1])
-            for i, k in zip(positions, keys)]
+            for i, k in zip([0] * unmasked + positions, keys)]
 
 
 def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
@@ -379,12 +388,14 @@ def masked_norm(g: AdversaryMatrix | Tile, i: int, tol: float = 1e-9) -> float:
     return masked_norms(g, tol, [i])[0].norm
 
 
-def _max_masked_norm(g: AdversaryMatrix | Tile, tol: float) -> tuple[float, int]:
-    """Largest ||g o D_i|| over all positions, and the first position within
-    ``TIE_RTOL`` of it (0 when every product vanishes)."""
-    norms = np.array([r.norm for r in masked_norms(g, tol)])
+def _max_masked_norm(g: AdversaryMatrix | Tile, tol: float) -> tuple[float, float, int]:
+    """||g||, the largest ||g o D_i|| over all positions, and the first
+    position within ``TIE_RTOL`` of it (0 when every product vanishes)."""
+    whole, *masked = _masked_norms(g, tol, None, None, unmasked=True)
+    norms = np.array([r.norm for r in masked])
     best = float(norms.max(initial=0.0))
-    return best, int(np.argmax(norms >= best * (1.0 - TIE_RTOL))) + 1 if best > 0.0 else 0
+    return (whole.norm, best,
+            int(np.argmax(norms >= best * (1.0 - TIE_RTOL))) + 1 if best > 0.0 else 0)
 
 
 def _bound_report(numerator: float, denominator: float, worst: int,
@@ -415,8 +426,7 @@ def sa_ratio(g: AdversaryMatrix | Tile, eps: float = 1.0 / 3.0,
     nonnegative symmetric B, so both norms are (|Sigma|-1) times the tile's."""
     factor = error_factor(eps)
     k = len(g.labeling.answers) - 1 if isinstance(g, Tile) else 1
-    numerator = spectral_norm(g.matrix, tol).norm
-    denominator, worst = _max_masked_norm(g, tol)
+    numerator, denominator, worst = _max_masked_norm(g, tol)
     return _bound_report(k * numerator, k * denominator, worst, eps, factor)
 
 
@@ -437,16 +447,15 @@ def composed_sa_ratio(outer: AdversaryMatrix, tile: Tile, eps: float = 1.0 / 3.0
     factor = error_factor(eps)
     a = outer.problem.length
     b = tile.labeling.problem.length
-    anorm = spectral_norm(tile.matrix, tol).norm
+    fnorm, fden, p_worst = _max_masked_norm(outer, tol)
+    anorm, aden, q_worst = _max_masked_norm(tile, tol)
     try:
-        numerator = spectral_norm(outer.matrix, tol).norm * anorm ** a
+        numerator = fnorm * anorm ** a
     except OverflowError:
         numerator = math.inf
     if not math.isfinite(numerator):
         raise AdversaryError(f"numerator ||{outer.matrix.name}|| * ||{tile.matrix.name}||^{a} "
                              "exceeds the float64 range")
-    fden, p_worst = _max_masked_norm(outer, tol)
-    aden, q_worst = _max_masked_norm(tile, tol)
     return _bound_report(numerator, fden * aden * anorm ** (a - 1),
                          (p_worst - 1) * b + q_worst, eps, factor)
 

@@ -10,6 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.  Every
 command is deterministic given its flags and seed; CSV and JSON artifacts
 are byte-identical across repeated runs.
+
+``--tol`` has no fixed floor; a power iteration that hits its cap (a tol
+below what float64 reaches on that matrix) exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .adversary import (
 )
 from .geometry import GeometryError, build_geometry, build_instance, family_parameters
 from .lattice import LatticeError, LatticeFn, Oracle, check_monotone, nested_solve, solve_brute
+from .matrices import SpectralConvergenceError
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -120,13 +124,13 @@ def _parse_sizes(problem: str, text: str) -> list:
     sizes = []
     for tok in text.split(","):
         tok = tok.strip()
-        if problem == "nos":
-            if "x" not in tok:
-                raise UsageError(f"nos sizes look like AxB, got {tok!r}")
-            a, b = tok.split("x")
-            size = (int(a), int(b))
-        else:
-            size = (int(tok),)
+        parts = tok.split("x") if problem == "nos" else [tok]
+        if problem == "nos" and len(parts) != 2:
+            raise UsageError(f"bad --sizes {tok!r}: nos sizes look like AxB")
+        try:
+            size = tuple(int(p) for p in parts)
+        except ValueError:
+            raise UsageError(f"bad --sizes {tok!r}: expected integers") from None
         if min(size) < least:
             raise UsageError(f"bad --sizes {tok!r}: {what} must be >= {least}")
         sizes.append(size if problem == "nos" else size[0])
@@ -300,6 +304,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (GeometryError, AdversaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SpectralConvergenceError as exc:
+        print(f"usage error: {exc}; try a larger --tol", file=sys.stderr)
         return EXIT_USAGE
     except LatticeError as exc:
         print(f"invalid instance file: {exc}", file=sys.stderr)

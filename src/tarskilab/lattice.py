@@ -16,6 +16,7 @@ extra query.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class LatticeFn:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.values.dtype.kind not in "iu":
+            raise LatticeError(f"values must be integers, got dtype {self.values.dtype}")
         if self.values.shape != (self.n, self.n, 2):
             raise LatticeError(
                 f"values shape {self.values.shape} != ({self.n}, {self.n}, 2)"
@@ -59,14 +62,18 @@ class LatticeFn:
         return cls(n=n, values=vals)
 
     def to_json(self) -> str:
-        """Row-major dump (x outer, y inner, 1-based)."""
-        flat = self.values.reshape(-1, 2).tolist()
-        return json.dumps({"n": self.n, "k": 2, "values": flat}, sort_keys=True)
+        """Row-major dump (x outer, y inner, 1-based): the text of
+        ``json.dumps({"n": n, "k": 2, "values": pairs}, sort_keys=True)``."""
+        return _canonical_text(self.n, self.values)
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeFn":
         """Inverse of :meth:`to_json`.  ``n``, ``k`` and every coordinate must
-        be JSON integers: floats, strings and booleans are rejected."""
+        be JSON integers: floats, strings and booleans are rejected.  Only a
+        spelling other than :meth:`to_json`'s goes through ``json.loads``."""
+        fn = _from_canonical(cls, text)
+        if fn is not None:
+            return fn
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise LatticeError("instance file is not a JSON object")
@@ -104,6 +111,46 @@ class LatticeFn:
                 f"output out of range at cell ({bad // n + 1}, {bad % n + 1})"
             ) from None
         return cls(n=n, values=vals)
+
+
+_HEADER = re.compile(r'\{"k": 2, "n": ([1-9][0-9]{0,8}), "values": \[')
+_BODY_CHARS = b"0123456789[], }"
+_TO_SPACE = bytes.maketrans(b"[],}", b"    ")
+
+
+def _canonical_text(n: int, values: np.ndarray) -> str:
+    """``to_json`` text from two tables of NUL-padded cell halves, "[x, " and
+    "y], " for x, y in 0..n, indexed by the table: no object per cell."""
+    w = len(str(n)) + 3
+    halves = [np.array([f"[{v}, " for v in range(n + 1)], dtype=f"S{w}"),
+              np.array([f"{v}], " for v in range(n + 1)], dtype=f"S{w}")]
+    cells = values.reshape(-1, 2)
+    chars = np.concatenate([h.view(np.uint8).reshape(-1, w)[cells[:, c]]
+                            for c, h in enumerate(halves)], axis=1).ravel()
+    body = chars[chars != 0].tobytes().decode("ascii")[:-2]
+    return f'{{"k": 2, "n": {json.dumps(n)}, "values": [{body}]}}'
+
+
+def _from_canonical(cls, text) -> "LatticeFn | None":
+    """The table whose ``to_json`` is exactly ``text``, else None; never
+    raises.  ``np.fromstring`` only ever sees digits and spaces that start
+    with a digit: an all-space string does not read as empty (numpy 2.4 gives
+    [0]), and an integer above int64 reads as its bound, so fails the range."""
+    m = _HEADER.match(text) if isinstance(text, str) and text.isascii() else None
+    if m is None:
+        return None
+    n = int(m.group(1))
+    body = text[m.end():].encode("ascii")
+    if body.translate(None, _BODY_CHARS):
+        return None
+    digits = body.translate(_TO_SPACE).strip()
+    if not digits:
+        return None
+    flat = np.fromstring(digits, dtype=np.int64, sep=" ")
+    if len(flat) != 2 * n * n or flat.min() < 1 or flat.max() > n:
+        return None
+    vals = flat.astype(np.int32).reshape(n, n, 2)
+    return cls(n=n, values=vals) if _canonical_text(n, vals) == text else None
 
 
 def _is_int_pair(pair) -> bool:

@@ -100,6 +100,29 @@ def test_solve_missing_and_corrupt_files(tmp_path, capsys):
     assert "(2, 2)" in err  # names the first missing cell
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("[1,,2]", "invalid JSON input: "),
+    ("truncated", "invalid JSON input: "),
+    ("cut after [[", "invalid JSON input: "),
+    ("no cells", "invalid instance file: instance file has 0 cells, expected 100; "
+                 "first missing cell is (1, 1)"),
+])
+def test_solve_damaged_generated_file_keeps_exit_3(tmp_path, capsys, damage, message):
+    assert run(["gen", "--n", "2", "--C", "1,1,1", "--i", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "tarski_n2_i1_C1-1-1.json"
+    text = path.read_text()
+    cells = text.index("[[") + 1
+    path.write_text({"[1,,2]": text[:cells] + "[1,,2], " + text[cells:],
+                     "truncated": text[:len(text) // 2],
+                     "cut after [[": text[:cells + 1],
+                     "no cells": text[:cells] + "]}"}[damage])
+    capsys.readouterr()
+    assert run(["solve", "--instance", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
 def test_solve_refuses_non_monotone(tmp_path, capsys):
     vals = [[2, 2], [1, 2], [2, 1], [1, 1]]
     path = tmp_path / "nm.json"
@@ -296,6 +319,9 @@ def test_verify_bad_size_is_a_usage_error(tmp_path, capsys, args, message):
     ("nos", "3x0", "--sizes '3x0': A and B must be >= 1"),
     ("nos", "0x3", "--sizes '0x3': A and B must be >= 1"),
     ("tarski", "0", "--sizes '0': n must be >= 2"),
+    ("os", ",", "--sizes '': expected integers"),
+    ("nos", "3x", "--sizes '3x': expected integers"),
+    ("nos", "3x4x5", "--sizes '3x4x5': nos sizes look like AxB"),
 ])
 def test_bound_bad_size_is_a_usage_error(tmp_path, capsys, problem, sizes, message):
     out = tmp_path / "table.csv"
@@ -303,6 +329,21 @@ def test_bound_bad_size_is_a_usage_error(tmp_path, capsys, problem, sizes, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--problem", "os", "--sizes", "4"],
+    ["verify", "--suite", "hilbert", "--m", "3"],
+])
+def test_tol_below_float64_reach_is_one_line(tmp_path, capsys, argv):
+    # a residual of ~1e-16 never meets tol 1e-300: the iteration cap is hit
+    out = tmp_path / "out"
+    assert run([*argv, "--tol", "1e-300", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "did not reach tol=1e-300" in captured.err
+    assert "try a larger --tol" in captured.err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Lattice functions, monotonicity, solvers, clamp embedding, file format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tarskilab import (
     solve_brute,
     tarski_family,
 )
+from tarskilab import lattice
 
 
 def identity_fn(n):
@@ -276,3 +278,89 @@ def test_from_json_rejects_int32_overflow():
     obj["values"][3] = [2, 2 ** 40]
     with pytest.raises(LatticeError, match=r"out of range at cell \(2, 2\)"):
         LatticeFn.from_json(json.dumps(obj))
+
+
+def outcome(read, text):
+    """The table ``read(text)`` gives, or the type and message it raises."""
+    try:
+        fn = read(text)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return fn.n, fn.values.dtype, fn.values.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 76, 100])
+def test_to_json_is_sorted_json_dumps_and_reads_back(n, monkeypatch):
+    values = np.random.default_rng(n).integers(1, n + 1, size=(n, n, 2))
+    f = LatticeFn(n=n, values=values)
+    text = json.dumps({"n": n, "k": 2, "values": values.reshape(-1, 2).tolist()},
+                      sort_keys=True)
+    assert f.to_json() == text
+    # the canonical spelling is read without json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: pytest.fail("json.loads called"))
+    again = LatticeFn.from_json(text)
+    assert again.values.dtype == np.int32
+    assert np.array_equal(again.values, values)
+
+
+MUTATIONS = ("canonical", "leading zero", "true", "float", "2**40", "2**70", "zero", "n + 1",
+             "negative", "extra space", "no space", "swapped keys", "indent=1",
+             "trailing newline", "missing cell", "extra cell", "smaller n", "[1,,2]",
+             "truncated", "cut after [[", "no cells", "empty", "bytes")
+
+
+def mutation(text, n, name):
+    """A spelling of ``text`` (whose first cell is [1, 2]) that the general
+    path reads or rejects, each for its own reason."""
+    obj = json.loads(text)
+
+    def first_cell(s):
+        return text.replace('"values": [[1, 2]', f'"values": [{s}', 1)
+
+    return {
+        "canonical": lambda: text,
+        "leading zero": lambda: first_cell("[01, 2]"),
+        "true": lambda: first_cell("[true, 2]"),
+        "float": lambda: first_cell("[1.0, 2]"),
+        "2**40": lambda: first_cell(f"[{2 ** 40}, 2]"),
+        "2**70": lambda: first_cell(f"[{2 ** 70}, 2]"),  # beyond int64 too
+        "zero": lambda: first_cell("[0, 2]"),
+        "n + 1": lambda: first_cell(f"[{n + 1}, 2]"),
+        "negative": lambda: first_cell("[-1, 2]"),
+        "extra space": lambda: first_cell("[1,  2]"),
+        "no space": lambda: first_cell("[1,2]"),
+        "swapped keys": lambda: json.dumps({"values": obj["values"], "n": n, "k": 2}),
+        "indent=1": lambda: json.dumps(obj, indent=1, sort_keys=True),
+        "trailing newline": lambda: text + "\n",
+        "missing cell": lambda: json.dumps(dict(obj, values=obj["values"][:-1]), sort_keys=True),
+        "extra cell": lambda: json.dumps(dict(obj, values=obj["values"] + [[1, 1]]),
+                                         sort_keys=True),
+        "smaller n": lambda: json.dumps(dict(obj, n=n - 1), sort_keys=True),
+        "[1,,2]": lambda: first_cell("[1,,2]"),
+        "truncated": lambda: text[:len(text) // 2],
+        "cut after [[": lambda: text[:text.index("[[") + 2],
+        "no cells": lambda: json.dumps(dict(obj, values=[]), sort_keys=True),
+        "empty": lambda: "",
+        "bytes": lambda: text.encode(),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_from_json_agrees_with_the_general_path(name, monkeypatch):
+    n = 10
+    values = np.random.default_rng(7).integers(1, n + 1, size=(n, n, 2))
+    values[0, 0] = (1, 2)
+    text = mutation(LatticeFn(n=n, values=values).to_json(), n, name)
+    if name != "canonical":
+        assert text != LatticeFn(n=n, values=values).to_json()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(LatticeFn.from_json, text)
+    # the general path alone: json.loads and its checks
+    monkeypatch.setattr(lattice, "_from_canonical", lambda cls, text: None)
+    assert got == outcome(LatticeFn.from_json, text)
+
+
+def test_tables_must_be_integers():
+    with pytest.raises(LatticeError, match="values must be integers, got dtype float64"):
+        LatticeFn(n=1, values=np.ones((1, 1, 2)))
